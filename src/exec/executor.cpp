@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <numeric>
 #include <unordered_map>
 
 #include "src/storage/column_index.h"
@@ -61,6 +62,32 @@ std::vector<uint8_t> FilterBitmap(const storage::Database& db,
     RowsScanned().Add(col.size());
   }
   return bitmap;
+}
+
+std::vector<uint32_t> FilterRows(const storage::Database& db,
+                                 const query::Query& q, int table_index) {
+  const storage::Table& table = db.table(table_index);
+  const uint64_t n = table.num_rows();
+  std::vector<uint32_t> rows(n);
+  FilterBitmaps().Increment();
+  uint64_t m = n;
+  bool first = true;  // the first predicate writes the candidate ids
+  for (const query::Predicate& p : q.predicates) {
+    if (p.col.table != table_index) continue;
+    const storage::Value* col = table.column(p.col.column).data();
+    uint64_t kept = 0;
+    for (uint64_t i = 0; i < m; ++i) {
+      const uint32_t r = first ? static_cast<uint32_t>(i) : rows[i];
+      rows[kept] = r;
+      kept += (col[r] >= p.lo) & (col[r] <= p.hi);
+    }
+    m = kept;
+    first = false;
+    RowsScanned().Add(n);
+  }
+  if (first) std::iota(rows.begin(), rows.end(), 0u);
+  rows.resize(m);
+  return rows;
 }
 
 uint64_t CountSet(const std::vector<uint8_t>& bitmap) {

@@ -25,6 +25,10 @@ namespace exec {
 std::vector<uint8_t> FilterBitmap(const storage::Database& db,
                                   const query::Query& q, int table_index);
 
+/// FilterBitmap's rows as ascending ids, by in-place selection-vector passes.
+std::vector<uint32_t> FilterRows(const storage::Database& db,
+                                 const query::Query& q, int table_index);
+
 /// Number of set bits. Bytes must be 0 or 1 (the FilterBitmap contract);
 /// counts eight bytes per step via a word-wide byte sum.
 uint64_t CountSet(const std::vector<uint8_t>& bitmap);

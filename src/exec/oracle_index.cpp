@@ -1,5 +1,9 @@
 #include "src/exec/oracle_index.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -195,6 +199,12 @@ OracleIndex::~OracleIndex() {
     telemetry::MemoryTracker::Global().Add(
         "cache", -CacheEntryBytes(e.key, *e.filtered));
   }
+  // Entries are mostly built on pool workers, whose glibc arenas keep freed
+  // pages resident: free them now and return those pages to the OS.
+  lru_.clear();
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 uint64_t OracleIndex::CountFiltered(const query::Query& q, int table) {

@@ -1,7 +1,7 @@
 #include "src/exec/plan_executor.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
 
 #include "src/exec/executor.h"
 #include "src/util/logging.h"
@@ -11,164 +11,164 @@ namespace exec {
 
 namespace {
 
-// Join edges of `q` with one endpoint in `left` and the other in `right`.
-struct ConnectingEdge {
-  int left_table;
-  int left_column;
-  int right_table;
-  int right_column;
+constexpr uint32_t kChainEnd = UINT32_MAX;
+
+// The key columns of the one query join edge between `build` and `probe`,
+// build side first; `*_pos` is the table's position in its intermediate.
+// The edges form a spanning tree (query::Validate), so there is exactly one.
+struct JoinKeys {
+  int build_pos;
+  const std::vector<storage::Value>* build_col;
+  int probe_pos;
+  const std::vector<storage::Value>* probe_col;
 };
 
-std::vector<ConnectingEdge> ConnectingEdges(
-    const query::Query& q, const storage::DatabaseSchema& schema,
-    const std::vector<int>& left, const std::vector<int>& right) {
-  auto contains = [](const std::vector<int>& v, int x) {
-    return std::find(v.begin(), v.end(), x) != v.end();
-  };
-  std::vector<ConnectingEdge> out;
+JoinKeys ConnectingEdge(const query::Query& q, const storage::Database& db,
+                        const std::vector<int>& build,
+                        const std::vector<int>& probe) {
+  const storage::DatabaseSchema& schema = db.schema();
+  JoinKeys keys{};
+  int found = 0;
   for (int e : q.join_edges) {
     const storage::JoinEdge& je = schema.joins[e];
-    int lt = schema.TableIndex(je.left_table);
-    int rt = schema.TableIndex(je.right_table);
-    int lc = schema.tables[lt].ColumnIndex(je.left_column);
-    int rc = schema.tables[rt].ColumnIndex(je.right_column);
-    if (contains(left, lt) && contains(right, rt)) {
-      out.push_back({lt, lc, rt, rc});
-    } else if (contains(left, rt) && contains(right, lt)) {
-      out.push_back({rt, rc, lt, lc});
+    const int table[2] = {schema.TableIndex(je.left_table),
+                          schema.TableIndex(je.right_table)};
+    const std::string* column[2] = {&je.left_column, &je.right_column};
+    auto key_col = [&](int side) {
+      return &db.table(table[side])
+                  .column(schema.tables[table[side]].ColumnIndex(*column[side]));
+    };
+    for (int b = 0; b < 2; ++b) {
+      auto bt = std::find(build.begin(), build.end(), table[b]);
+      auto pt = std::find(probe.begin(), probe.end(), table[1 - b]);
+      if (bt == build.end() || pt == probe.end()) continue;
+      keys = {static_cast<int>(bt - build.begin()), key_col(b),
+              static_cast<int>(pt - probe.begin()), key_col(1 - b)};
+      ++found;
     }
   }
-  return out;
+  LCE_CHECK_MSG(found == 1, "subplans must meet on exactly one join edge");
+  return keys;
 }
 
-int IndexOfTable(const std::vector<int>& tables, int table) {
-  auto it = std::find(tables.begin(), tables.end(), table);
-  LCE_CHECK(it != tables.end());
-  return static_cast<int>(it - tables.begin());
-}
+// Flat chained hash table over the build side's keys: bucket heads, one
+// `next` link per build tuple, and the keys copied contiguously. Tuples are
+// inserted in reverse, so each chain lists them in ascending order.
+class JoinTable {
+ public:
+  JoinTable(const std::vector<storage::Value>& col,
+            const std::vector<uint32_t>& rows)
+      : shift_(64 - std::bit_width(rows.size() | 1)),  // buckets > rows
+        head_(size_t{1} << (64 - shift_), kChainEnd),
+        next_(rows.size()),
+        keys_(rows.size()) {
+    for (size_t i = rows.size(); i-- > 0;) {
+      keys_[i] = col[rows[i]];
+      uint32_t& head = head_[Bucket(keys_[i])];
+      next_[i] = head;
+      head = static_cast<uint32_t>(i);
+    }
+  }
+
+  // Calls `fn(i)` for each build tuple i whose key equals `key`, ascending.
+  template <typename Fn>
+  void ForEachMatch(storage::Value key, Fn&& fn) const {
+    for (uint32_t i = head_[Bucket(key)]; i != kChainEnd; i = next_[i]) {
+      if (keys_[i] == key) fn(i);
+    }
+  }
+
+ private:
+  // Fibonacci hashing: the top bits of key * 2^64/phi.
+  size_t Bucket(storage::Value key) const {
+    return (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_;
+  }
+
+  int shift_;
+  std::vector<uint32_t> head_;
+  std::vector<uint32_t> next_;
+  std::vector<storage::Value> keys_;
+};
 
 }  // namespace
 
-Result<PlanExecutor::Intermediate> PlanExecutor::ExecuteNode(
-    const query::Query& q, const opt::Plan& plan, int node,
-    ExecStats* stats) const {
+Status PlanExecutor::ExecuteNode(const query::Query& q, const opt::Plan& plan,
+                                 int node, bool count_only, ExecStats* stats,
+                                 Intermediate* out) const {
   const opt::PlanNode& n = plan.nodes[node];
   if (n.IsLeaf()) {
-    Intermediate out;
-    out.tables = {n.table};
-    out.rows.resize(1);
-    std::vector<uint8_t> bitmap = FilterBitmap(*db_, q, n.table);
-    stats->tuples_scanned += bitmap.size();
-    for (uint64_t r = 0; r < bitmap.size(); ++r) {
-      if (bitmap[r]) out.rows[0].push_back(static_cast<uint32_t>(r));
+    *out = {{n.table}, {FilterRows(*db_, q, n.table)}};
+    out->size = out->rows[0].size();
+    stats->tuples_scanned += db_->table(n.table).num_rows();
+    stats->peak_intermediate = std::max(stats->peak_intermediate, out->size);
+    return Status::OK();
+  }
+
+  Intermediate left, right;
+  Status s = ExecuteNode(q, plan, n.left, false, stats, &left);
+  if (s.ok()) s = ExecuteNode(q, plan, n.right, false, stats, &right);
+  if (!s.ok()) return s;
+
+  // Hash join, building on the smaller input.
+  const bool build_left = left.size <= right.size;
+  const Intermediate& build = build_left ? left : right;
+  const Intermediate& probe = build_left ? right : left;
+  const JoinKeys keys = ConnectingEdge(q, *db_, build.tables, probe.tables);
+  const JoinTable table(*keys.build_col, build.rows[keys.build_pos]);
+  const std::vector<storage::Value>& probe_col = *keys.probe_col;
+  const std::vector<uint32_t>& probe_rows = probe.rows[keys.probe_pos];
+  stats->tuples_built += build.size;
+  stats->tuples_probed += probe.size;
+
+  // The root only counts. Other joins collect (build, probe) index pairs in
+  // one probe pass, stopping as soon as the budget is exceeded, then gather
+  // each output column.
+  const uint64_t budget = options_.max_intermediate_tuples;
+  std::vector<uint32_t> build_idx, probe_idx;
+  if (count_only) {
+    for (uint32_t r : probe_rows) {
+      table.ForEachMatch(probe_col[r], [&](uint32_t) { ++out->size; });
     }
-    stats->peak_intermediate = std::max(stats->peak_intermediate, out.size());
-    return out;
-  }
-
-  Result<Intermediate> left_result = ExecuteNode(q, plan, n.left, stats);
-  if (!left_result.ok()) return left_result.status();
-  Result<Intermediate> right_result = ExecuteNode(q, plan, n.right, stats);
-  if (!right_result.ok()) return right_result.status();
-  Intermediate left = std::move(left_result).value();
-  Intermediate right = std::move(right_result).value();
-
-  std::vector<ConnectingEdge> edges =
-      ConnectingEdges(q, db_->schema(), left.tables, right.tables);
-  LCE_CHECK_MSG(!edges.empty(), "plan joins disconnected subplans");
-
-  // Hash join: build on the smaller input using the first connecting edge;
-  // any further connecting edges become post-join filters.
-  bool build_left = left.size() <= right.size();
-  Intermediate& build = build_left ? left : right;
-  Intermediate& probe = build_left ? right : left;
-  // Orient the edges build-side-first.
-  std::vector<ConnectingEdge> oriented;
-  for (const ConnectingEdge& e : edges) {
-    if (build_left) {
-      oriented.push_back(e);
-    } else {
-      oriented.push_back({e.right_table, e.right_column, e.left_table,
-                          e.left_column});
+  } else {
+    build_idx.reserve(probe.size);
+    probe_idx.reserve(probe.size);
+    for (uint64_t j = 0; j < probe.size && out->size <= budget; ++j) {
+      table.ForEachMatch(probe_col[probe_rows[j]], [&](uint32_t i) {
+        build_idx.push_back(i);
+        probe_idx.push_back(static_cast<uint32_t>(j));
+      });
+      out->size = build_idx.size();
     }
   }
-  const ConnectingEdge& key_edge = oriented[0];
-
-  int build_pos = IndexOfTable(build.tables, key_edge.left_table);
-  const std::vector<storage::Value>& build_keys =
-      db_->table(key_edge.left_table).column(key_edge.left_column);
-  std::unordered_map<storage::Value, std::vector<uint64_t>> hash_table;
-  hash_table.reserve(build.size());
-  for (uint64_t i = 0; i < build.size(); ++i) {
-    hash_table[build_keys[build.rows[build_pos][i]]].push_back(i);
+  if (out->size > budget) {
+    return Status::Internal(
+        "intermediate result exceeded the execution budget (" +
+        std::to_string(budget) + " tuples)");
   }
-  stats->tuples_built += build.size();
+  stats->tuples_output += out->size;
+  stats->peak_intermediate = std::max(stats->peak_intermediate, out->size);
+  if (count_only) return Status::OK();
 
-  Intermediate out;
-  out.tables = build.tables;
-  out.tables.insert(out.tables.end(), probe.tables.begin(),
-                    probe.tables.end());
-  out.rows.resize(out.tables.size());
-
-  int probe_pos = IndexOfTable(probe.tables, key_edge.right_table);
-  const std::vector<storage::Value>& probe_keys =
-      db_->table(key_edge.right_table).column(key_edge.right_column);
-
-  // Extra-edge filters: (build tuple, probe tuple) must also match here.
-  struct ExtraFilter {
-    int build_pos;
-    const std::vector<storage::Value>* build_col;
-    int probe_pos;
-    const std::vector<storage::Value>* probe_col;
+  auto gather = [&](const Intermediate& in, const std::vector<uint32_t>& idx) {
+    for (size_t c = 0; c < in.tables.size(); ++c) {
+      out->tables.push_back(in.tables[c]);
+      std::vector<uint32_t>& col = out->rows.emplace_back(out->size);
+      for (uint64_t o = 0; o < out->size; ++o) col[o] = in.rows[c][idx[o]];
+    }
   };
-  std::vector<ExtraFilter> extra;
-  for (size_t e = 1; e < oriented.size(); ++e) {
-    extra.push_back(
-        {IndexOfTable(build.tables, oriented[e].left_table),
-         &db_->table(oriented[e].left_table).column(oriented[e].left_column),
-         IndexOfTable(probe.tables, oriented[e].right_table),
-         &db_->table(oriented[e].right_table).column(oriented[e].right_column)});
-  }
-
-  for (uint64_t j = 0; j < probe.size(); ++j) {
-    ++stats->tuples_probed;
-    auto it = hash_table.find(probe_keys[probe.rows[probe_pos][j]]);
-    if (it == hash_table.end()) continue;
-    for (uint64_t i : it->second) {
-      bool pass = true;
-      for (const ExtraFilter& f : extra) {
-        if ((*f.build_col)[build.rows[f.build_pos][i]] !=
-            (*f.probe_col)[probe.rows[f.probe_pos][j]]) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-      for (size_t c = 0; c < build.tables.size(); ++c) {
-        out.rows[c].push_back(build.rows[c][i]);
-      }
-      for (size_t c = 0; c < probe.tables.size(); ++c) {
-        out.rows[build.tables.size() + c].push_back(probe.rows[c][j]);
-      }
-      if (out.size() > options_.max_intermediate_tuples) {
-        return Status::Internal(
-            "intermediate result exceeded the execution budget (" +
-            std::to_string(options_.max_intermediate_tuples) + " tuples)");
-      }
-    }
-  }
-  stats->tuples_output += out.size();
-  stats->peak_intermediate = std::max(stats->peak_intermediate, out.size());
-  return out;
+  gather(build, build_idx);
+  gather(probe, probe_idx);
+  return Status::OK();
 }
 
 Result<ExecStats> PlanExecutor::Execute(const query::Query& q,
                                         const opt::Plan& plan) const {
   LCE_CHECK_MSG(plan.root >= 0, "empty plan");
   ExecStats stats;
-  Result<Intermediate> root = ExecuteNode(q, plan, plan.root, &stats);
-  if (!root.ok()) return root.status();
-  stats.result = static_cast<double>(root.value().size());
+  Intermediate root;
+  Status s = ExecuteNode(q, plan, plan.root, /*count_only=*/true, &stats, &root);
+  if (!s.ok()) return s;
+  stats.result = static_cast<double>(root.size);
   return stats;
 }
 

@@ -1,11 +1,12 @@
 // Physical plan execution.
 //
-// Interprets an optimizer plan (opt::Plan) against the stored data: leaf
-// scans filter base tables into row-id sets, inner nodes perform hash joins
-// over row-id tuples, and the root's output size is the exact COUNT(*).
-// Alongside the answer it reports operator-level work statistics — the
-// "actually executed" end-to-end numbers (experiment R17), complementing the
-// noise-free cost replay of eval::EvaluatePlanQuality.
+// Interprets an optimizer plan (opt::Plan) against the stored data: leaves
+// scan into row-id selection vectors, joins hash the smaller input into a
+// flat chained table, and the root only counts its matches — the exact
+// COUNT(*). Nothing is cached between calls (DESIGN.md §8). Alongside the
+// answer it reports operator-level work statistics — the "actually executed"
+// end-to-end numbers (experiment R17), complementing the noise-free cost
+// replay of eval::EvaluatePlanQuality.
 
 #ifndef LCE_EXEC_PLAN_EXECUTOR_H_
 #define LCE_EXEC_PLAN_EXECUTOR_H_
@@ -27,7 +28,7 @@ struct ExecStats {
   uint64_t tuples_built = 0;     // rows inserted into join hash tables
   uint64_t tuples_probed = 0;    // rows probing join hash tables
   uint64_t tuples_output = 0;    // rows emitted by all joins
-  uint64_t peak_intermediate = 0;
+  uint64_t peak_intermediate = 0;  // largest leaf or join output
   double result = 0;             // final COUNT(*)
 
   /// Total work in tuple operations — the executed-latency proxy.
@@ -39,7 +40,7 @@ struct ExecStats {
 class PlanExecutor {
  public:
   struct Options {
-    /// Execution aborts (ResourceExhausted-style) when any intermediate
+    /// Execution aborts (ResourceExhausted-style) when any join's output
     /// exceeds this many tuples — a bad plan's blowup is the finding, not a
     /// reason to hang the harness.
     uint64_t max_intermediate_tuples = 20'000'000;
@@ -58,14 +59,14 @@ class PlanExecutor {
  private:
   /// Row-id tuples over a set of base tables (columnar, parallel arrays).
   struct Intermediate {
-    std::vector<int> tables;                  // base table ids, sorted
+    std::vector<int> tables;                  // base table ids
     std::vector<std::vector<uint32_t>> rows;  // rows[i] for tables[i]
-    uint64_t size() const { return rows.empty() ? 0 : rows[0].size(); }
+    uint64_t size = 0;  // tuple count; all a counted-only node keeps
   };
 
-  Result<Intermediate> ExecuteNode(const query::Query& q,
-                                   const opt::Plan& plan, int node,
-                                   ExecStats* stats) const;
+  Status ExecuteNode(const query::Query& q, const opt::Plan& plan, int node,
+                     bool count_only, ExecStats* stats,
+                     Intermediate* out) const;
 
   const storage::Database* db_;
   Options options_;

@@ -53,6 +53,12 @@ Status Validate(const Query& q, const storage::Database& db) {
   if (q.join_edges.size() != q.tables.size() - 1) {
     return Status::InvalidArgument("join edges must form a spanning tree");
   }
+  std::vector<int> parent(db.num_tables());  // union-find over the edges
+  for (int t : q.tables) parent[t] = t;
+  auto root = [&](int t) {
+    while (parent[t] != t) t = parent[t] = parent[parent[t]];
+    return t;
+  };
   for (int j : q.join_edges) {
     if (j < 0 || j >= static_cast<int>(schema.joins.size())) {
       return Status::InvalidArgument("join edge index out of range");
@@ -63,9 +69,11 @@ Status Validate(const Query& q, const storage::Database& db) {
     if (!q.UsesTable(lt) || !q.UsesTable(rt)) {
       return Status::InvalidArgument("join edge touches a table not in query");
     }
-  }
-  if (!db.IsConnected(q.tables)) {
-    return Status::InvalidArgument("query tables are not join-connected");
+    if (root(lt) == root(rt)) {
+      return Status::InvalidArgument(
+          "query join edges do not form a spanning tree");
+    }
+    parent[root(lt)] = root(rt);
   }
   for (const Predicate& p : q.predicates) {
     if (!q.UsesTable(p.col.table)) {

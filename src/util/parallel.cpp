@@ -198,22 +198,28 @@ void ParallelForChunksImpl(
   telemetry::TraceSpan region_span("parallel/region");
   region_span.AddArg("chunks", static_cast<double>(num_chunks));
 
+  // A lane reports its chunks only once its span has closed, so when the
+  // caller sees all chunks done, every span parenting their work is recorded.
   auto run_chunks = [state, fn_ptr, begin, end, grain, num_chunks] {
-    telemetry::TraceSpan lane_span("parallel/lane");
-    for (;;) {
-      int64_t c = state->next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
-      int64_t b = begin + c * grain;
-      try {
-        (*fn_ptr)(c, b, std::min(end, b + grain));
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        if (!state->error) state->error = std::current_exception();
+    int64_t done = 0;
+    {
+      telemetry::TraceSpan lane_span("parallel/lane");
+      for (;;) {
+        int64_t c = state->next_chunk.fetch_add(1, std::memory_order_relaxed);
+        if (c >= num_chunks) break;
+        int64_t b = begin + c * grain;
+        try {
+          (*fn_ptr)(c, b, std::min(end, b + grain));
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(state->mu);
+          if (!state->error) state->error = std::current_exception();
+        }
+        ++done;
       }
-      if (state->chunks_done.fetch_add(1) + 1 == num_chunks) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->cv.notify_all();
-      }
+    }
+    if (done > 0 && state->chunks_done.fetch_add(done) + done == num_chunks) {
+      std::lock_guard<std::mutex> lock(state->mu);
+      state->cv.notify_all();
     }
   };
 

@@ -83,6 +83,49 @@ TEST_F(QueryTest, ValidateRejectsPredicateOnUnusedTable) {
   EXPECT_FALSE(Validate(q, *db_).ok());
 }
 
+TEST(QueryValidateTest, JoinEdgesMustSpanTheQueryTables) {
+  // a, b and c form a triangle; d hangs off c. Three edges over four tables
+  // can pass the edge count while closing the triangle and leaving d out,
+  // even though d is join-connected in the schema.
+  storage::datagen::DatabaseGenSpec spec;
+  spec.name = "triangle";
+  spec.tables = {
+      {.name = "a", .rows = 20, .columns = {{.name = "ak", .is_key = true}}},
+      {.name = "b",
+       .rows = 20,
+       .columns = {{.name = "bk", .is_key = true},
+                   {.name = "a_fk", .ref_table = "a"}}},
+      {.name = "c",
+       .rows = 20,
+       .columns = {{.name = "ck", .is_key = true},
+                   {.name = "a_fk", .ref_table = "a"},
+                   {.name = "b_fk", .ref_table = "b"}}},
+      {.name = "d",
+       .rows = 20,
+       .columns = {{.name = "c_fk", .ref_table = "c"}}},
+  };
+  spec.joins = {{"a", "ak", "b", "a_fk"},
+                {"b", "bk", "c", "b_fk"},
+                {"a", "ak", "c", "a_fk"},
+                {"c", "ck", "d", "c_fk"}};
+  auto db = storage::datagen::Generate(spec, 1);
+
+  Query tree;
+  tree.tables = {0, 1, 2, 3};
+  tree.join_edges = {0, 1, 3};
+  EXPECT_TRUE(Validate(tree, *db).ok());
+
+  Query cycle = tree;
+  cycle.join_edges = {0, 1, 2};  // closes a-b-c, never reaches d
+  Status s = Validate(cycle, *db);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("spanning tree"), std::string::npos);
+
+  Query repeated = tree;
+  repeated.join_edges = {0, 0, 3};  // right count, c unreached
+  EXPECT_EQ(Validate(repeated, *db).code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(QueryTest, JoinTemplateKeyIsOrderInsensitive) {
   Query a;
   a.tables = {0, 1, 2};
