@@ -174,7 +174,10 @@ void MatMulTransBRowsNaive(const Matrix& a, const Matrix& b, Matrix* c,
 // traffic without the wide clones.
 // ---------------------------------------------------------------------------
 
-#if defined(__x86_64__) && defined(__has_attribute)
+// Not under TSan: it instruments the ifunc resolvers, which run before its
+// runtime is initialized, so every binary would crash before main.
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
 #if __has_attribute(target_clones)
 #define LCE_KERNEL_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))

@@ -3,6 +3,11 @@
 // Concurrent clients each submit one query and block for its answer; the
 // batcher coalesces whatever is waiting into one EstimateBatch() call so the
 // SIMD kernel layer sees N×d matrices instead of N separate 1×d forwards.
+// EstimationService routes only estimators that are not ThreadSafeEstimate()
+// here — the NN families, whose forwards are bound by streaming the layer
+// weights (a batch pays that stream once) and reuse activation caches (so
+// flushes are serialized). Thread-safe models answer on the caller's thread
+// and never see the batcher or its knobs.
 // Correctness rests on the kernel bit-identity contract (DESIGN.md §10): a
 // batched forward is bit-identical per row to the per-query loop, so
 // batching changes latency, never answers.
@@ -27,7 +32,7 @@
 // The window resets at each take, so the target tracks clients leaving
 // within one flush; the deadline bounds the wait when concurrency dropped.
 //
-// Knobs (read by BatcherOptions::FromEnv):
+// Knobs (read by BatcherOptions::FromEnv; they apply to batched models only):
 //   LCE_SERVE_BATCH      "0" disables coalescing: every request executes
 //                        alone (the bench's batch-off arm). Default on.
 //   LCE_SERVE_BATCH_US   flush deadline in microseconds (default 200).

@@ -1,11 +1,14 @@
 // Named, versioned estimator registry for the estimation service.
 //
-// A registry slot holds the current build of one named model behind an
-// atomic shared_ptr: Register() on an existing name publishes a new
-// ModelEntry with a bumped version in one atomic swap, while requests that
-// already resolved the previous entry keep estimating against it until their
-// batch drains — no reader ever blocks on a writer, and no estimator is
-// destroyed while a flush still uses it.
+// A registry slot holds the current build of one named model as a
+// shared_ptr: Register() on an existing name publishes a new ModelEntry with
+// a bumped version in one pointer swap, while requests that already resolved
+// the previous entry keep estimating against it until they finish — no
+// estimator is destroyed while a request or flush still uses it. One mutex
+// guards the map and the pointers; it is held only for a lookup and a
+// pointer copy, never while a model is built, run or destroyed. (libstdc++'s
+// std::atomic<std::shared_ptr> load unlocks with relaxed order, which
+// ThreadSanitizer rightly reports as a race against a concurrent store.)
 //
 // The registry stores models only; per-model runtime state (execution
 // serialization, the micro-batcher) lives in serve::EstimationService.
@@ -13,7 +16,6 @@
 #ifndef LCE_SERVE_MODEL_REGISTRY_H_
 #define LCE_SERVE_MODEL_REGISTRY_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,14 +54,8 @@ class ModelRegistry {
   std::vector<std::pair<std::string, uint64_t>> List() const;
 
  private:
-  // The slot object is heap-stable: the map only ever gains entries, so a
-  // Get() that found a slot can load from it after dropping the map mutex.
-  struct Slot {
-    std::atomic<std::shared_ptr<const ModelEntry>> entry;
-  };
-
-  mutable std::mutex mu_;  // guards the map shape, not the entries
-  std::map<std::string, std::unique_ptr<Slot>> slots_;
+  mutable std::mutex mu_;  // guards the map and every entry pointer in it
+  std::map<std::string, std::shared_ptr<const ModelEntry>> entries_;
 };
 
 }  // namespace serve

@@ -15,13 +15,16 @@ EstimationService::EstimationService(const storage::Database* db,
 uint64_t EstimationService::RegisterModel(
     const std::string& name, std::shared_ptr<ce::Estimator> estimator) {
   // Create the runtime slot before publishing the model, so a request that
-  // sees the registry entry always finds its batcher.
+  // sees the registry entry always finds its state (see Resolve).
   {
     std::lock_guard<std::mutex> lock(mu_);
     std::unique_ptr<ModelState>& state = states_[name];
     if (state == nullptr) {
       state = std::make_unique<ModelState>();
       state->name = name;
+      auto& metrics = telemetry::MetricsRegistry::Global();
+      state->requests = &metrics.counter("serve." + name + ".requests");
+      state->explains = &metrics.counter("serve." + name + ".explains");
       ModelState* raw = state.get();
       state->batcher = std::make_unique<MicroBatcher>(
           options_, [this, raw](const std::vector<query::Query>& queries,
@@ -47,11 +50,14 @@ std::vector<std::pair<std::string, uint64_t>> EstimationService::ListModels()
   return registry_.List();
 }
 
-EstimationService::ModelState* EstimationService::FindState(
-    const std::string& model) const {
+EstimationService::ModelState* EstimationService::Resolve(
+    const std::string& model, std::shared_ptr<const ModelEntry>* entry) const {
+  *entry = registry_.Get(model);
+  if (*entry == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = states_.find(model);
-  return it == states_.end() ? nullptr : it->second.get();
+  LCE_CHECK(it != states_.end());  // created before the entry was published
+  return it->second.get();
 }
 
 Result<EstimateResponse> EstimationService::EstimateSql(
@@ -63,20 +69,24 @@ Result<EstimateResponse> EstimationService::EstimateSql(
 
 Result<EstimateResponse> EstimationService::Estimate(const std::string& model,
                                                      const query::Query& q) {
-  ModelState* state = FindState(model);
+  std::shared_ptr<const ModelEntry> entry;
+  ModelState* state = Resolve(model, &entry);
   if (state == nullptr) {
     return Status::NotFound("no model registered as '" + model + "'");
   }
-  MicroBatcher::Ticket ticket = state->batcher->Submit(q);
-  telemetry::MetricsRegistry::Global()
-      .counter("serve." + model + ".requests")
-      .Increment();
   EstimateResponse resp;
-  resp.estimate = ticket.estimate;
+  if (entry->estimator->ThreadSafeEstimate()) {
+    resp.estimate = entry->estimator->EstimateCardinality(q);
+    resp.model_version = entry->version;
+  } else {
+    MicroBatcher::Ticket ticket = state->batcher->Submit(q);
+    resp.estimate = ticket.estimate;
+    resp.model_version = ticket.model_version;
+    resp.batch_size = ticket.batch_size;
+    resp.queue_wait_us = ticket.queue_wait_us;
+  }
+  state->requests->Increment();
   resp.model = model;
-  resp.model_version = ticket.model_version;
-  resp.batch_size = ticket.batch_size;
-  resp.queue_wait_us = ticket.queue_wait_us;
   return resp;
 }
 
@@ -84,21 +94,19 @@ Result<ExplainResponse> EstimationService::ExplainSql(const std::string& model,
                                                       const std::string& sql) {
   Result<query::Query> parsed = query::ParseSql(sql, *db_);
   if (!parsed.ok()) return parsed.status();
-  ModelState* state = FindState(model);
+  std::shared_ptr<const ModelEntry> entry;
+  ModelState* state = Resolve(model, &entry);
   if (state == nullptr) {
     return Status::NotFound("no model registered as '" + model + "'");
   }
-  std::shared_ptr<const ModelEntry> entry = registry_.Get(model);
-  LCE_CHECK(entry != nullptr);
   ExplainResponse out;
   {
-    std::lock_guard<std::mutex> exec_lock(state->exec_mu);
+    std::unique_lock<std::mutex> exec_lock(state->exec_mu, std::defer_lock);
+    if (!entry->estimator->ThreadSafeEstimate()) exec_lock.lock();
     out.response.estimate =
         entry->estimator->EstimateWithDiagnostics(parsed.value(), &out.record);
   }
-  telemetry::MetricsRegistry::Global()
-      .counter("serve." + model + ".explains")
-      .Increment();
+  state->explains->Increment();
   out.response.model = model;
   out.response.model_version = entry->version;
   out.response.batch_size = 1;

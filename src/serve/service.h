@@ -4,17 +4,22 @@
 // The service accepts SQL strings (parsed and validated by query::ParseSql,
 // which is hardened against hostile input), routes them to a named model
 // from the ModelRegistry, and answers with the estimate plus the serving
-// context (model version, batch size, queue wait). Each model gets its own
-// MicroBatcher, so concurrent clients of the same model are coalesced into
-// one vectorized EstimateBatch() flush while different models never wait on
-// each other.
+// context (model version, batch size, queue wait). Each batched model gets
+// its own MicroBatcher, so concurrent clients of the same model are
+// coalesced into one vectorized EstimateBatch() flush while different
+// models never wait on each other.
 //
-// Estimator execution is serialized per model with an exec mutex: neural
-// forward passes reuse activation caches and are not thread-safe
-// (Estimator::ThreadSafeEstimate), and the flush already fans out across
-// the thread pool inside the kernels — cross-batch concurrency would only
-// thrash it. Model versions resolve once per flush, so a Register() swap
-// lands between batches, never inside one.
+// Which models batch. Estimators that declare ThreadSafeEstimate() (LW-XGB,
+// the histograms, sampling, KDE) answer on the caller's thread: their
+// inference is a pure read of the fitted model, so there is nothing to
+// serialize and nothing for batching to amortize. The rest (the NN
+// families) go through their model's MicroBatcher: a forward pass streams
+// every layer's weights, so a coalesced batch pays that stream once, and it
+// reuses activation caches, so a per-model exec mutex serializes it. The
+// route is chosen per request from the resolved registry entry, so a hot
+// swap between a thread-safe and a batched build stays correct. A batched
+// flush resolves the model version once, so a Register() swap lands
+// between batches, never inside one.
 
 #ifndef LCE_SERVE_SERVICE_H_
 #define LCE_SERVE_SERVICE_H_
@@ -36,6 +41,10 @@
 #include "src/util/status.h"
 
 namespace lce {
+namespace telemetry {
+class Counter;
+}  // namespace telemetry
+
 namespace serve {
 
 /// One answered request.
@@ -49,7 +58,8 @@ struct EstimateResponse {
 
 /// EstimateResponse plus the structured "why" (per-predicate selectivities,
 /// fallbacks, model counters). Explain requests bypass the batcher: they
-/// run EstimateWithDiagnostics under the model's exec mutex.
+/// run EstimateWithDiagnostics on the caller's thread, under the model's
+/// exec mutex unless the estimator is ThreadSafeEstimate().
 struct ExplainResponse {
   EstimateResponse response;
   ce::ExplainRecord record;
@@ -64,7 +74,8 @@ class EstimationService {
   EstimationService(const storage::Database* db, const BatcherOptions& options);
 
   /// Publishes `estimator` (already built) as model `name`; re-registering
-  /// swaps the model atomically between flushes. Returns the new version.
+  /// swaps the model atomically: a request or flush runs entirely on the
+  /// build it resolved. Returns the new version.
   uint64_t RegisterModel(const std::string& name,
                          std::shared_ptr<ce::Estimator> estimator);
 
@@ -73,7 +84,8 @@ class EstimationService {
 
   /// Parses `sql` against the service database and estimates it with
   /// `model`. Malformed SQL and unknown models return a Status — never a
-  /// crash — making this safe as the untrusted-input entry point. Blocks
+  /// crash — making this safe as the untrusted-input entry point. Thread-safe
+  /// models answer inline (batch_size 1, queue_wait_us 0); the others block
   /// until the micro-batcher flushes the request.
   Result<EstimateResponse> EstimateSql(const std::string& model,
                                        const std::string& sql);
@@ -92,12 +104,18 @@ class EstimationService {
   // map); the batcher's exec callback captures the slot pointer.
   struct ModelState {
     std::string name;
-    std::mutex exec_mu;  // serializes estimator execution for this model
+    telemetry::Counter* requests = nullptr;  // serve.<name>.requests
+    telemetry::Counter* explains = nullptr;  // serve.<name>.explains
+    std::mutex exec_mu;  // serializes estimators not ThreadSafeEstimate()
     std::unique_ptr<MicroBatcher> batcher;
   };
 
-  /// Looks up (never creates) the runtime state for `model`.
-  ModelState* FindState(const std::string& model) const;
+  /// The current build of `model` (into `entry`) and its runtime state, or
+  /// nullptr when no build is published. The entry resolves first:
+  /// RegisterModel creates the state before publishing, so a published
+  /// entry always has one, and a registration still in flight is NotFound.
+  ModelState* Resolve(const std::string& model,
+                      std::shared_ptr<const ModelEntry>* entry) const;
 
   const storage::Database* const db_;
   const BatcherOptions options_;

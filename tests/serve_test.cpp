@@ -1,11 +1,14 @@
 // Estimation service: registry versioning and atomic swap, micro-batcher
 // flush semantics (bypass, coalescing, max-batch cap, adaptive single-client
 // fast path), and the SQL front end end-to-end — including that serving a
-// query through the batched path answers bit-identically to calling the
-// estimator directly.
+// query through the batched path (FCN) and the inline path (thread-safe
+// LW-XGB, also across hot swaps) answers bit-identically to calling the
+// estimator directly, and that registering new names under concurrent
+// traffic never crashes a request.
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,6 +40,14 @@ class ConstEstimator : public ce::Estimator {
 
  private:
   double value_;
+};
+
+/// ConstEstimator that declares itself thread-safe, so the service answers
+/// it inline instead of through the batcher.
+class ThreadSafeConstEstimator : public ConstEstimator {
+ public:
+  using ConstEstimator::ConstEstimator;
+  bool ThreadSafeEstimate() const override { return true; }
 };
 
 query::Query OneTableQuery() {
@@ -275,6 +286,189 @@ TEST_F(ServiceTest, BatchedServingIsBitIdenticalToDirectCalls) {
       EXPECT_EQ(got[c][i], expected[i]) << "client " << c << " query " << i;
     }
   }
+}
+
+/// Two LW-XGB builds trained on disjoint workloads plus the SQL and parsed
+/// queries they are asked about; the inline-path tests share this setup.
+class InlineServingTest : public ServiceTest {
+ protected:
+  void SetUp() override {
+    ServiceTest::SetUp();
+    workload::WorkloadOptions wopts;
+    wopts.max_joins = 2;
+    workload::WorkloadGenerator gen(db_.get(), wopts);
+    Rng rng(9);
+    std::vector<query::LabeledQuery> train = gen.GenerateLabeled(300, &rng);
+    for (const auto& lq : gen.GenerateLabeled(24, &rng)) {
+      test_.push_back(lq.q);
+      sql_.push_back(query::ToSql(lq.q, db_->schema()));
+    }
+    const std::vector<query::LabeledQuery> halves[2] = {
+        {train.begin(), train.begin() + 150},
+        {train.begin() + 150, train.end()}};
+    for (int b = 0; b < 2; ++b) {
+      builds_[b] = ce::MakeEstimator("LW-XGB");
+      ASSERT_TRUE(builds_[b]->Build(*db_, halves[b]).ok());
+      ASSERT_TRUE(builds_[b]->ThreadSafeEstimate());
+      // A twin answers the reference, so served traffic never touches it.
+      std::unique_ptr<ce::Estimator> twin = ce::MakeEstimator("LW-XGB");
+      ASSERT_TRUE(twin->Build(*db_, halves[b]).ok());
+      for (const query::Query& q : test_) {
+        expected_[b].push_back(twin->EstimateCardinality(q));
+      }
+    }
+  }
+
+  std::vector<query::Query> test_;
+  std::vector<std::string> sql_;
+  std::shared_ptr<ce::Estimator> builds_[2];
+  std::vector<double> expected_[2];
+};
+
+// Thread-safe models skip the batcher: concurrent clients get the twin's
+// per-query answers bit for bit, each in a batch of one with no queue wait,
+// and ExplainSql agrees with Estimate on the same model.
+TEST_F(InlineServingTest, ConcurrentClientsAreAnsweredInlineAndBitIdentical) {
+  EstimationService service(db_.get());  // batching on
+  service.RegisterModel("xgb", builds_[0]);
+
+  constexpr int kClients = 8;
+  constexpr int kExplainers = 2;
+  std::vector<std::thread> clients;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> batched{0};
+  for (int c = 0; c < kClients + kExplainers; ++c) {
+    clients.emplace_back([&, c] {
+      for (int rep = 0; rep < 4; ++rep) {
+        for (size_t i = 0; i < test_.size(); ++i) {
+          if (c >= kClients) {
+            auto resp = service.ExplainSql("xgb", sql_[i]);
+            if (!resp.ok() ||
+                resp.value().response.estimate != expected_[0][i] ||
+                resp.value().record.estimate != expected_[0][i]) {
+              mismatches.fetch_add(1);
+            }
+            continue;
+          }
+          auto resp = service.Estimate("xgb", test_[i]);
+          if (!resp.ok() || resp.value().estimate != expected_[0][i] ||
+              resp.value().model_version != 1u) {
+            mismatches.fetch_add(1);
+          } else if (resp.value().batch_size != 1 ||
+                     resp.value().queue_wait_us != 0.0) {
+            batched.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(batched.load(), 0) << "a thread-safe model was batched";
+}
+
+// Hot swaps under inline traffic: every answer equals the reference of the
+// build whose version it reports (odd versions are build 0, even build 1).
+TEST_F(InlineServingTest, HotSwapAnswersMatchTheVersionThatServed) {
+  size_t differing = 0;
+  for (size_t i = 0; i < test_.size(); ++i) {
+    differing += expected_[0][i] != expected_[1][i];
+  }
+  ASSERT_GT(differing, 0u) << "the two builds must disagree somewhere";
+
+  EstimationService service(db_.get());
+  service.RegisterModel("xgb", builds_[0]);
+  std::atomic<bool> stop{false};
+  std::thread swapper([&] {
+    for (int v = 2; !stop.load(); ++v) {
+      service.RegisterModel("xgb", builds_[(v - 1) % 2]);
+      std::this_thread::yield();
+    }
+  });
+
+  constexpr int kClients = 4;
+  std::vector<std::thread> clients;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> served[2] = {0, 0};
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      for (int rep = 0; rep < 20; ++rep) {
+        for (size_t i = 0; i < test_.size(); ++i) {
+          auto resp = service.Estimate("xgb", test_[i]);
+          if (!resp.ok()) {
+            mismatches.fetch_add(1);
+            continue;
+          }
+          const int b = static_cast<int>((resp.value().model_version - 1) % 2);
+          served[b].fetch_add(1);
+          if (resp.value().estimate != expected_[b][i]) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  stop.store(true);
+  swapper.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(served[0].load(), 0);
+  EXPECT_GT(served[1].load(), 0);
+}
+
+// A brand-new name is published in two steps (runtime state, then registry
+// entry). Requests racing the registration must see NotFound or a full
+// answer — never abort — on both the batched and the inline route.
+TEST_F(ServiceTest, RegisteringNewNamesUnderTrafficNeverCrashes) {
+  EstimationService service(db_.get());
+  constexpr int kNames = 20000;  // the race window is sub-microsecond
+  std::atomic<int> registering{0};  // index of the name being registered
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::atomic<int> answered{0};
+  const query::Query q = OneTableQuery();
+
+  constexpr int kReaders = 4;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!done.load()) {
+        const int i = registering.load();
+        const std::string name = "m" + std::to_string(i);
+        const double want = i % 2 == 0 ? 2.0 : 3.0;
+        Status status;
+        double got = want;
+        if (r % 2 == 0) {
+          auto resp = service.Estimate(name, q);
+          status = resp.status();
+          if (resp.ok()) got = resp.value().estimate;
+        } else {
+          auto resp =
+              service.ExplainSql(name, "SELECT COUNT(*) FROM customer;");
+          status = resp.status();
+          if (resp.ok()) got = resp.value().response.estimate;
+        }
+        if (status.ok()) {
+          answered.fetch_add(1);
+          if (got != want) bad.fetch_add(1);
+        } else if (status.code() != StatusCode::kNotFound) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kNames; ++i) {
+    registering.store(i);
+    const std::string name = "m" + std::to_string(i);
+    if (i % 2 == 0) {
+      service.RegisterModel(name, std::make_shared<ConstEstimator>(2.0));
+    } else {
+      service.RegisterModel(name,
+                            std::make_shared<ThreadSafeConstEstimator>(3.0));
+    }
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(service.ListModels().size(), static_cast<size_t>(kNames));
 }
 
 }  // namespace
