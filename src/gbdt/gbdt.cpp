@@ -1,6 +1,8 @@
 #include "src/gbdt/gbdt.h"
 
+#include <algorithm>
 #include <array>
+#include <limits>
 
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
@@ -16,9 +18,7 @@ namespace gbdt {
 
 namespace {
 
-// Rows per parallel chunk for per-row binning / prediction sweeps. Also the
-// block size of the level-synchronous batch traversal: 256 cursors (1 KiB)
-// plus their bin rows stay L1-resident across all trees of the ensemble.
+// Rows per parallel chunk for the binning, packing and prediction sweeps.
 constexpr int64_t kRowGrain = 256;
 
 // Binned copies of `rows`, computed in parallel (disjoint writes; Transform
@@ -36,108 +36,159 @@ std::vector<std::vector<uint8_t>> BinRows(
   return binned;
 }
 
-// Binned rows packed into one contiguous row-major matrix (n x f bytes) so
-// the batch traversal's bin loads hit sequential cache lines.
-std::vector<uint8_t> PackBins(const std::vector<std::vector<uint8_t>>& binned,
-                              int num_features) {
-  std::vector<uint8_t> bins(binned.size() * static_cast<size_t>(num_features));
-  parallel::ParallelFor(0, static_cast<int64_t>(binned.size()), kRowGrain,
+// Raw rows packed into one contiguous row-major matrix (n x f floats) so
+// the row-blocked traversal's feature loads hit sequential cache lines.
+std::vector<float> PackRows(const std::vector<std::vector<float>>& rows,
+                            int num_features) {
+  std::vector<float> x(rows.size() * static_cast<size_t>(num_features));
+  parallel::ParallelFor(0, static_cast<int64_t>(rows.size()), kRowGrain,
                         [&](int64_t b, int64_t e) {
                           for (int64_t i = b; i < e; ++i) {
-                            std::copy(binned[i].begin(), binned[i].end(),
-                                      bins.begin() + i * num_features);
+                            LCE_CHECK(rows[i].size() ==
+                                      static_cast<size_t>(num_features));
+                            std::copy(rows[i].begin(), rows[i].end(),
+                                      x.begin() + i * num_features);
                           }
                         });
-  return bins;
+  return x;
+}
+
+// Trees whose cursors one PredictRow walk steps together. Sixteen
+// independent node loads per level keep the load pipeline full; the
+// cursors fit in one cache line.
+constexpr int kLanes = 16;
+
+// FlatForest::PredictRow, with the path-depth bookkeeping compiled in only
+// for the explain path.
+template <bool kDepths>
+float WalkRow(const FlatForest& forest, const float* LCE_GBDT_RESTRICT x,
+              float base, float lr, FlatForest::PathDepths* depths) {
+  const FlatForest::Node* LCE_GBDT_RESTRICT node = forest.nodes.data();
+  const float* LCE_GBDT_RESTRICT val = forest.value.data();
+  const int num_trees = static_cast<int>(forest.num_trees());
+  float out = base;
+  for (int t0 = 0; t0 < num_trees; t0 += kLanes) {
+    const int n = std::min(kLanes, num_trees - t0);
+    std::array<int32_t, kLanes> cursor;
+    std::array<int32_t, kLanes> depth{};
+    int32_t group_levels = 0;
+    for (int l = 0; l < n; ++l) {
+      cursor[l] = forest.root[t0 + l];
+      group_levels = std::max(group_levels, forest.levels[t0 + l]);
+    }
+    for (int32_t level = 0; level < group_levels; ++level) {
+      // One level of every lane's tree. Lanes are independent, so their
+      // node loads overlap; a lane parked on a leaf self-loops.
+      int32_t moved = 0;
+      for (int l = 0; l < n; ++l) {
+        const FlatForest::Node& nd = node[cursor[l]];
+        const int32_t next = nd.child[nd.edge < x[nd.feature] ? 1 : 0];
+        moved |= next ^ cursor[l];
+        if constexpr (kDepths) depth[l] += next != cursor[l] ? 1 : 0;
+        cursor[l] = next;
+      }
+      if (moved == 0) break;  // every lane parked before the deepest level
+    }
+    // Ensemble order: the same float addition sequence as the binned
+    // RegressionTree::Predict loop.
+    for (int l = 0; l < n; ++l) out += lr * val[cursor[l]];
+    if constexpr (kDepths) {
+      for (int l = 0; l < n; ++l) {
+        depths->sum += static_cast<uint64_t>(depth[l]);
+        depths->max = std::max(depths->max, static_cast<int>(depth[l]));
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
 
 void FlatForest::Clear() {
-  feat_thr.clear();
-  children.clear();
+  nodes.clear();
   value.clear();
   root.clear();
   levels.clear();
 }
 
-void FlatForest::AppendTree(const RegressionTree& tree) {
-  const std::vector<TreeNode>& nodes = tree.nodes();
-  LCE_CHECK(!nodes.empty());
-  const int32_t base = static_cast<int32_t>(feat_thr.size());
+void FlatForest::AppendTree(const RegressionTree& tree,
+                            const FeatureBinner& binner) {
+  const std::vector<TreeNode>& tree_nodes = tree.nodes();
+  LCE_CHECK(!tree_nodes.empty());
+  const int32_t base = static_cast<int32_t>(nodes.size());
   root.push_back(base);  // tree-local node 0 is the root
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const TreeNode& n = nodes[i];
+  for (size_t i = 0; i < tree_nodes.size(); ++i) {
+    const TreeNode& n = tree_nodes[i];
     const int32_t self = base + static_cast<int32_t>(i);
     if (n.is_leaf) {
-      // Leaf self-loop: threshold 255 always compares true against uint8
-      // bins, so the cursor takes the left child (= itself) on every further
-      // level. 255 cannot be a real split threshold: a uint8-binned split at
-      // 255 would send every row left and never separate the children.
-      feat_thr.push_back(kLeafThreshold);  // feature 0, threshold 255
-      children.push_back(self);
-      children.push_back(self);
+      // Leaf self-loop: no x is above +inf, so the cursor takes the left
+      // child (= itself) on every further level.
+      nodes.push_back(
+          {std::numeric_limits<float>::infinity(), 0, {self, self}});
       value.push_back(n.value);
     } else {
-      feat_thr.push_back(static_cast<uint32_t>(n.feature) << 8 |
-                         n.bin_threshold);
-      children.push_back(base + n.left);
-      children.push_back(base + n.right);
+      nodes.push_back({binner.BinUpperEdge(n.feature, n.bin_threshold),
+                       n.feature,
+                       {base + n.left, base + n.right}});
       value.push_back(0.0f);
     }
   }
   // Max root-to-leaf path length: after this many steps every cursor sits on
   // a leaf (then self-loops). Nodes are created parent-before-child, so one
   // forward pass suffices.
-  std::vector<int32_t> depth(nodes.size(), 0);
+  std::vector<int32_t> depth(tree_nodes.size(), 0);
   int32_t max_depth = 0;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].is_leaf) continue;
-    depth[nodes[i].left] = depth[i] + 1;
-    depth[nodes[i].right] = depth[i] + 1;
-    max_depth = std::max(max_depth,
-                         std::max(depth[nodes[i].left], depth[nodes[i].right]));
+  for (size_t i = 0; i < tree_nodes.size(); ++i) {
+    const TreeNode& n = tree_nodes[i];
+    if (n.is_leaf) continue;
+    depth[n.left] = depth[i] + 1;
+    depth[n.right] = depth[i] + 1;
+    max_depth = std::max(max_depth, depth[i] + 1);
   }
   levels.push_back(max_depth);
 }
 
-void FlatForest::Accumulate(const uint8_t* bins, int num_features, int64_t r0,
+float FlatForest::PredictRow(const float* x, float base, float lr,
+                             PathDepths* depths) const {
+  return depths != nullptr ? WalkRow<true>(*this, x, base, lr, depths)
+                           : WalkRow<false>(*this, x, base, lr, nullptr);
+}
+
+void FlatForest::Accumulate(const float* x, int num_features, int64_t r0,
                             int64_t r1, size_t t0, size_t t1, float lr,
                             float* out) const {
-  constexpr int kBlock = static_cast<int>(kRowGrain);
+  // 64 rows of 51 float features are about 13 KiB: the block's rows and
+  // cursors stay L1-resident across the whole ensemble.
+  constexpr int kBlock = 64;
   std::array<int32_t, kBlock> cursor;
-  const uint32_t* LCE_GBDT_RESTRICT desc = feat_thr.data();
-  const int32_t* LCE_GBDT_RESTRICT child = children.data();
+  const Node* LCE_GBDT_RESTRICT node = nodes.data();
   const float* LCE_GBDT_RESTRICT val = value.data();
   for (int64_t b = r0; b < r1; b += kBlock) {
     const int n = static_cast<int>(std::min<int64_t>(kBlock, r1 - b));
-    const uint8_t* LCE_GBDT_RESTRICT block_bins = bins + b * num_features;
-    // Trees inner: the block's bin rows stay cached across the whole
-    // ensemble, and out[row] still accumulates trees in ensemble order —
-    // the same float addition sequence as per-row Predict().
+    const float* LCE_GBDT_RESTRICT block_x = x + b * num_features;
+    // Trees inner: the block's rows stay cached across the whole ensemble,
+    // and out[row] still accumulates trees in ensemble order — the same
+    // float addition sequence as per-row Predict().
     for (size_t t = t0; t < t1; ++t) {
       const int32_t tree_root = root[t];
       for (int r = 0; r < n; ++r) cursor[r] = tree_root;
       for (int32_t level = 0; level < levels[t]; ++level) {
         // Level-synchronous step: all rows cross one level together. Rows
         // are independent, so the node loads pipeline instead of
-        // serializing on one row's pointer chase; leaves self-loop (see
-        // AppendTree). Each step reads one packed descriptor and one
-        // children pair — two node cache lines.
-        uint32_t alive = 0;
+        // serializing on one row's pointer chase; leaves self-loop.
+        int32_t moved = 0;
         for (int r = 0; r < n; ++r) {
-          const int32_t node = cursor[r];
-          const uint32_t d = desc[node];
-          const uint32_t thr = d & 0xffu;
-          alive |= thr ^ kLeafThreshold;  // nonzero while any row is internal
-          const uint8_t bin =
-              block_bins[static_cast<int64_t>(r) * num_features + (d >> 8)];
-          cursor[r] = child[2 * node + (bin > thr ? 1 : 0)];
+          const Node& nd = node[cursor[r]];
+          const float v =
+              block_x[static_cast<int64_t>(r) * num_features + nd.feature];
+          const int32_t next = nd.child[nd.edge < v ? 1 : 0];
+          moved |= next ^ cursor[r];
+          cursor[r] = next;
         }
         // Unbalanced trees park most cursors on shallow leaves well before
         // levels[t]; once the whole block is parked the remaining levels
         // are self-loop no-ops, so stop.
-        if (alive == 0) break;
+        if (moved == 0) break;
       }
       const int64_t off = b - r0;
       for (int r = 0; r < n; ++r) out[off + r] += lr * val[cursor[r]];
@@ -156,7 +207,7 @@ void GradientBoosting::Fit(const std::vector<std::vector<float>>& rows,
   base_score_ = static_cast<float>(sum / static_cast<double>(targets.size()));
   fitted_ = true;
 
-  AddTrees(BinRows(binner_, rows), targets, options_.num_trees);
+  AddTrees(rows, targets, options_.num_trees);
 }
 
 void GradientBoosting::Boost(const std::vector<std::vector<float>>& rows,
@@ -164,26 +215,27 @@ void GradientBoosting::Boost(const std::vector<std::vector<float>>& rows,
                              int num_trees) {
   LCE_CHECK_MSG(fitted_, "Fit() before Boost()");
   LCE_CHECK(!rows.empty() && rows.size() == targets.size());
-  AddTrees(BinRows(binner_, rows), targets, num_trees);
+  AddTrees(rows, targets, num_trees);
 }
 
-void GradientBoosting::AddTrees(
-    const std::vector<std::vector<uint8_t>>& binned,
-    const std::vector<float>& targets, int num_trees) {
-  // Current predictions for the (possibly new) data under the ensemble.
-  // Each row's prediction is independent and sums the trees in ensemble
-  // order, so the row-parallel replay matches the sequential one exactly —
-  // and the batched FlatForest replay keeps that same per-row order, so
-  // training is bit-identical across LCE_SIMD settings too.
-  const int64_t n = static_cast<int64_t>(binned.size());
-  const int num_features = binned.empty() ? 0 : static_cast<int>(binned[0].size());
+void GradientBoosting::AddTrees(const std::vector<std::vector<float>>& rows,
+                                const std::vector<float>& targets,
+                                int num_trees) {
+  // Trees are fit on binned rows; the prediction replay walks the raw rows
+  // through the FlatForest (bit-identical to the binned walk, see
+  // FlatForest). Each row's prediction is independent and sums the trees in
+  // ensemble order, so the row-parallel replay matches the sequential one
+  // exactly, and training is bit-identical across LCE_SIMD settings.
+  const std::vector<std::vector<uint8_t>> binned = BinRows(binner_, rows);
+  const int64_t n = static_cast<int64_t>(rows.size());
+  const int num_features = binner_.num_features();
   const bool batch = simd::SimdEnabled() && num_features > 0;
-  const std::vector<uint8_t> bins =
-      batch ? PackBins(binned, num_features) : std::vector<uint8_t>();
-  std::vector<float> pred(binned.size(), base_score_);
+  const std::vector<float> x =
+      batch ? PackRows(rows, num_features) : std::vector<float>();
+  std::vector<float> pred(rows.size(), base_score_);
   parallel::ParallelFor(0, n, kRowGrain, [&](int64_t b, int64_t e) {
     if (batch) {
-      flat_.Accumulate(bins.data(), num_features, b, e, 0, flat_.num_trees(),
+      flat_.Accumulate(x.data(), num_features, b, e, 0, flat_.num_trees(),
                        options_.learning_rate, pred.data() + b);
       return;
     }
@@ -206,13 +258,13 @@ void GradientBoosting::AddTrees(
       telemetry::ScopedPhase phase("gbdt/tree_fit");
       tree.Fit(binned, residual, options_.tree, options_.max_bins);
     }
-    flat_.AppendTree(tree);
+    flat_.AppendTree(tree, binner_);
     {
       telemetry::ScopedPhase phase("gbdt/update_pred");
       parallel::ParallelFor(0, n, kRowGrain, [&](int64_t b, int64_t e) {
         if (batch) {
           // Only the just-appended tree.
-          flat_.Accumulate(bins.data(), num_features, b, e,
+          flat_.Accumulate(x.data(), num_features, b, e,
                            flat_.num_trees() - 1, flat_.num_trees(),
                            options_.learning_rate, pred.data() + b);
           return;
@@ -249,19 +301,15 @@ void GradientBoosting::AddTrees(
 
 float GradientBoosting::Predict(const std::vector<float>& row) const {
   LCE_CHECK_MSG(fitted_, "Fit() before Predict()");
-  std::vector<uint8_t> binned = binner_.Transform(row);
-  float out = base_score_;
-  for (const RegressionTree& tree : trees_) {
-    out += options_.learning_rate * tree.Predict(binned);
-  }
-  return out;
+  LCE_CHECK(row.size() == static_cast<size_t>(binner_.num_features()));
+  return flat_.PredictRow(row.data(), base_score_, options_.learning_rate);
 }
 
 std::vector<float> GradientBoosting::PredictBatch(
     const std::vector<std::vector<float>>& rows) const {
   LCE_CHECK_MSG(fitted_, "Fit() before PredictBatch()");
-  // Kernel span for the profiler: the batched SoA forest traversal is the
-  // GBDT inference hot path. Work ≈ node visits (rows × trees × depth),
+  // Kernel span for the profiler: the batched forest traversal is the GBDT
+  // inference hot path. Work ≈ node visits (rows × trees × depth),
   // thresholded so single-row per-query calls don't pay span overhead on a
   // microsecond traversal.
   telemetry::KernelSpan span(
@@ -277,19 +325,13 @@ std::vector<float> GradientBoosting::PredictBatch(
     });
     return out;
   }
-  // Bin every row into one contiguous matrix, then traverse the SoA forest
+  // Pack every row into one contiguous matrix, then traverse the forest
   // level-synchronously over row blocks. Per row the accumulation order is
   // base + lr*tree0 + lr*tree1 + ... — identical to Predict().
-  const int num_features = static_cast<int>(rows[0].size());
-  std::vector<uint8_t> bins(rows.size() * static_cast<size_t>(num_features));
+  const int num_features = binner_.num_features();
+  const std::vector<float> x = PackRows(rows, num_features);
   parallel::ParallelFor(0, n, kRowGrain, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) {
-      std::vector<uint8_t> binned = binner_.Transform(rows[i]);
-      std::copy(binned.begin(), binned.end(), bins.begin() + i * num_features);
-    }
-  });
-  parallel::ParallelFor(0, n, kRowGrain, [&](int64_t b, int64_t e) {
-    flat_.Accumulate(bins.data(), num_features, b, e, 0, flat_.num_trees(),
+    flat_.Accumulate(x.data(), num_features, b, e, 0, flat_.num_trees(),
                      options_.learning_rate, out.data() + b);
   });
   return out;
@@ -298,16 +340,14 @@ std::vector<float> GradientBoosting::PredictBatch(
 float GradientBoosting::PredictWithStats(const std::vector<float>& row,
                                          PredictStats* stats) const {
   LCE_CHECK_MSG(fitted_, "Fit() before Predict()");
-  std::vector<uint8_t> binned = binner_.Transform(row);
-  float out = base_score_;
+  LCE_CHECK(row.size() == static_cast<size_t>(binner_.num_features()));
+  FlatForest::PathDepths depths;
+  const float out = flat_.PredictRow(row.data(), base_score_,
+                                     options_.learning_rate, &depths);
   *stats = PredictStats{};
-  for (const RegressionTree& tree : trees_) {
-    int depth = 0;
-    out += options_.learning_rate * tree.PredictWithDepth(binned, &depth);
-    ++stats->trees;
-    stats->nodes_visited += static_cast<uint64_t>(depth);
-    stats->max_path_depth = std::max(stats->max_path_depth, depth);
-  }
+  stats->trees = static_cast<int>(flat_.num_trees());
+  stats->nodes_visited = depths.sum;
+  stats->max_path_depth = depths.max;
   stats->mean_path_depth =
       stats->trees > 0
           ? static_cast<double>(stats->nodes_visited) / stats->trees
@@ -326,10 +366,9 @@ uint64_t GradientBoosting::SizeBytes() const {
   for (const RegressionTree& tree : trees_) {
     bytes += tree.num_nodes() * sizeof(TreeNode);
   }
-  // SoA inference mirror: packed descriptor (uint32), children pair
-  // (2x int32), value (float) per node, plus root/levels (int32) per tree.
-  bytes += flat_.num_nodes() *
-               (sizeof(uint32_t) + 2 * sizeof(int32_t) + sizeof(float)) +
+  // Inference mirror: one Node (split edge, feature, children) and one leaf
+  // value per node, plus root/levels (int32) per tree.
+  bytes += flat_.num_nodes() * (sizeof(FlatForest::Node) + sizeof(float)) +
            flat_.num_trees() * 2 * sizeof(int32_t);
   // Binner edges.
   bytes += static_cast<uint64_t>(binner_.num_features()) *

@@ -11,47 +11,66 @@
 namespace lce {
 namespace gbdt {
 
-/// Structure-of-arrays mirror of an ensemble's trees for batched inference.
-/// Node fields live in parallel arrays sized for the traversal's access
-/// pattern: the split descriptor packs feature id and bin threshold into one
-/// 32-bit word (feat_thr) and both child ids sit in one contiguous pair
-/// (children), so stepping a cursor down one level touches exactly two node
-/// cache lines instead of the four a naive field-per-array split (or the
-/// 24-byte AoS TreeNode) costs. Leaves are encoded as self-loops
-/// (children == {self, self}, threshold == 255) so the level-synchronous
-/// batch traversal needs no is_leaf branch — bins are uint8, so `bin <= 255`
-/// always holds and a cursor that reaches a leaf stays put for the remaining
-/// levels.
+/// Flat mirror of an ensemble's trees for inference on raw feature rows.
 ///
-/// Accumulate() applies trees in ensemble order with one float accumulator
-/// per row — the exact accumulation order of per-row Predict(), so batched
-/// and scalar inference are bit-identical.
+/// Each node stores its split as the raw float upper edge of its bin
+/// threshold, `binner.BinUpperEdge(feature, threshold)`, so inference never
+/// bins a row. The binned rule "go left iff bin <= threshold" becomes "go
+/// left iff !(edge < x)": FeatureBinner::Transform takes `bin` from
+/// std::lower_bound over the feature's sorted edges, i.e. the number of
+/// edges below x, so bin <= threshold holds exactly when edges[threshold] is
+/// not below x. That includes NaN (below nothing, so bin 0 and always left)
+/// and +-inf. The child index is therefore `edge < x` (0 = left, 1 = right).
+///
+/// Node fields the step reads sit in one 16-byte Node, so stepping a cursor
+/// down a level touches one node cache line. Leaves are self-loops with edge
+/// +inf (nothing is above +inf, so every x goes "left" to the leaf itself),
+/// so the level-synchronous walks need no is-leaf branch: a cursor that
+/// reaches a leaf stays put for the remaining levels.
+///
+/// Both walks add the trees' leaf values in ensemble order into one float
+/// accumulator per row, the exact addition order of the binned
+/// RegressionTree::Predict loop, so every path is bit-identical to it.
 struct FlatForest {
-  /// Threshold value marking a leaf's self-loop descriptor.
-  static constexpr uint32_t kLeafThreshold = 255;
+  struct Node {
+    float edge;        // go right iff edge < x[feature]; +inf at leaves
+    int32_t feature;   // 0 at leaves
+    int32_t child[2];  // left, right; both = the node itself at leaves
+  };
 
-  /// feature << 8 | threshold. Go left iff bin <= threshold (low byte).
-  std::vector<uint32_t> feat_thr;
-  /// children[2 * node + 0] = left, [.. + 1] = right; both = node for leaves.
-  std::vector<int32_t> children;
+  std::vector<Node> nodes;
   std::vector<float> value;  // leaf prediction; 0 for internal nodes
 
   std::vector<int32_t> root;    // per tree: root node id
   std::vector<int32_t> levels;  // per tree: max root-to-leaf path length
 
   size_t num_trees() const { return root.size(); }
-  size_t num_nodes() const { return feat_thr.size(); }
+  size_t num_nodes() const { return nodes.size(); }
   void Clear();
 
-  /// Appends one fitted tree's nodes (ensemble order = call order).
-  void AppendTree(const RegressionTree& tree);
+  /// Appends one fitted tree's nodes (ensemble order = call order), with
+  /// split edges taken from the binner the tree was fit on.
+  void AppendTree(const RegressionTree& tree, const FeatureBinner& binner);
+
+  /// Root-to-leaf path lengths of one PredictRow walk.
+  struct PathDepths {
+    uint64_t sum = 0;
+    int max = 0;
+  };
+
+  /// base + lr * leaf value of every tree, in ensemble order, for one raw
+  /// row `x`. Steps the cursors of up to 16 trees together, level by level,
+  /// so their node loads overlap instead of each tree's pointer chase
+  /// waiting on the previous one. With `depths` non-null, also sums the
+  /// path lengths (the explain path's statistics).
+  float PredictRow(const float* x, float base, float lr,
+                   PathDepths* depths = nullptr) const;
 
   /// out[i - r0] += lr * tree_value for every tree in [t0, t1) and row i in
-  /// [r0, r1); bins is the row-major num_features-wide bin matrix. Rows
-  /// advance through each tree level-synchronously in blocks.
-  void Accumulate(const uint8_t* bins, int num_features, int64_t r0,
-                  int64_t r1, size_t t0, size_t t1, float lr,
-                  float* out) const;
+  /// [r0, r1); `x` is the row-major num_features-wide raw feature matrix.
+  /// Rows advance through each tree level-synchronously in blocks.
+  void Accumulate(const float* x, int num_features, int64_t r0, int64_t r1,
+                  size_t t0, size_t t1, float lr, float* out) const;
 };
 
 class GradientBoosting {
@@ -77,11 +96,11 @@ class GradientBoosting {
 
   float Predict(const std::vector<float>& row) const;
 
-  /// Predictions for many rows at once. With LCE_SIMD on (default) this bins
-  /// all rows into one contiguous matrix and runs the level-synchronous
-  /// FlatForest traversal in parallel row blocks; otherwise it falls back to
-  /// per-row Predict(). Both paths are bit-identical to calling Predict() on
-  /// each row (same per-row accumulation order) at any thread count.
+  /// Predictions for many rows at once. With LCE_SIMD on (default) this
+  /// packs all rows into one contiguous matrix and runs the row-blocked
+  /// FlatForest::Accumulate in parallel; otherwise it falls back to per-row
+  /// Predict(). Both paths are bit-identical to calling Predict() on each
+  /// row (same per-row accumulation order) at any thread count.
   std::vector<float> PredictBatch(
       const std::vector<std::vector<float>>& rows) const;
 
@@ -99,6 +118,12 @@ class GradientBoosting {
                          PredictStats* stats) const;
 
   size_t num_trees() const { return trees_.size(); }
+  /// The fitted binner, base score and trees: the binned definition of
+  /// Predict() (base + lr * tree.Predict(binner.Transform(row)), summed in
+  /// ensemble order), which tests hold the raw-edge walk to.
+  const FeatureBinner& binner() const { return binner_; }
+  float base_score() const { return base_score_; }
+  const std::vector<RegressionTree>& trees() const { return trees_; }
   uint64_t SizeBytes() const;
   /// Total tree nodes across the ensemble — the model-card parameter count
   /// (each node carries a split threshold or a leaf value).
@@ -106,14 +131,14 @@ class GradientBoosting {
   bool fitted() const { return fitted_; }
 
  private:
-  void AddTrees(const std::vector<std::vector<uint8_t>>& binned,
+  void AddTrees(const std::vector<std::vector<float>>& rows,
                 const std::vector<float>& targets, int num_trees);
 
   Options options_;
   FeatureBinner binner_;
   float base_score_ = 0;
   std::vector<RegressionTree> trees_;
-  FlatForest flat_;  // SoA mirror of trees_, maintained by AddTrees
+  FlatForest flat_;  // raw-edge mirror of trees_, maintained by AddTrees
   bool fitted_ = false;
 };
 

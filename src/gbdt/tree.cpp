@@ -44,6 +44,9 @@ void FeatureBinner::Fit(const std::vector<std::vector<float>>& rows,
           for (size_t i = 1; i < edges.size(); ++i) {
             if (edges[i] < edges[i - 1]) edges[i] = edges[i - 1];
           }
+          // Transform's lower_bound then never runs past the last bin, and
+          // FlatForest's raw-edge walk relies on the same bound.
+          LCE_CHECK(edges.back() == std::numeric_limits<float>::infinity());
         }
       });
 }
@@ -56,9 +59,8 @@ std::vector<uint8_t> FeatureBinner::Transform(
     const std::vector<float>& edges = edges_[f];
     // First bin whose upper edge covers the value.
     auto it = std::lower_bound(edges.begin(), edges.end(), row[f]);
-    size_t bin = static_cast<size_t>(it - edges.begin());
-    if (bin >= edges.size()) bin = edges.size() - 1;
-    out[f] = static_cast<uint8_t>(bin);
+    // The last edge is +inf (checked in Fit), so `it` is never end().
+    out[f] = static_cast<uint8_t>(it - edges.begin());
   }
   return out;
 }
@@ -191,21 +193,6 @@ float RegressionTree::Predict(const std::vector<uint8_t>& binned_row) const {
     cur = binned_row[node.feature] <= node.bin_threshold ? node.left
                                                          : node.right;
   }
-  return nodes_[cur].value;
-}
-
-float RegressionTree::PredictWithDepth(const std::vector<uint8_t>& binned_row,
-                                       int* depth) const {
-  LCE_CHECK(!nodes_.empty());
-  int cur = 0;
-  int d = 0;
-  while (!nodes_[cur].is_leaf) {
-    const TreeNode& node = nodes_[cur];
-    cur = binned_row[node.feature] <= node.bin_threshold ? node.left
-                                                         : node.right;
-    ++d;
-  }
-  *depth = d;
   return nodes_[cur].value;
 }
 

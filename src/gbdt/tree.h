@@ -23,7 +23,8 @@ class FeatureBinner {
 
   int num_features() const { return static_cast<int>(edges_.size()); }
   int max_bins() const { return max_bins_; }
-  /// Upper edge of `bin` for `feature` (split threshold reconstruction).
+  /// Upper edge of `bin` for `feature`: Transform puts x in a bin <= `bin`
+  /// exactly when !(edge < x). The last bin's edge is +inf.
   float BinUpperEdge(int feature, int bin) const { return edges_[feature][bin]; }
 
  private:
@@ -54,11 +55,6 @@ class RegressionTree {
            int max_bins);
 
   float Predict(const std::vector<uint8_t>& binned_row) const;
-
-  /// Predict() plus the root-to-leaf path length in `*depth` (0 when the
-  /// tree is a single leaf). Same traversal, same leaf value.
-  float PredictWithDepth(const std::vector<uint8_t>& binned_row,
-                         int* depth) const;
 
   size_t num_nodes() const { return nodes_.size(); }
 

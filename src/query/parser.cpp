@@ -1,9 +1,9 @@
 #include "src/query/parser.h"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
-#include <map>
+#include <string_view>
+#include <vector>
 
 namespace lce {
 namespace query {
@@ -18,45 +18,48 @@ constexpr size_t kMaxSqlBytes = 64 * 1024;
 constexpr size_t kMaxFromTables = 1024;
 constexpr size_t kMaxWhereTerms = 4096;
 
+// Tokens are views into the statement, which outlives the parse: lexing
+// copies nothing, and only error messages build strings.
 struct Token {
   // kBadNumber: a numeric literal that does not fit in int64 — surfaced as
   // a parse error instead of the std::stoll throw that used to crash here.
   enum class Kind { kIdent, kNumber, kSymbol, kBadNumber, kEnd } kind =
       Kind::kEnd;
-  std::string text;   // identifiers uppercased for keyword checks? no: raw
+  std::string_view text;  // raw spelling; empty at the end
   int64_t number = 0;
 };
 
+// Character classes of the "C" locale, inline: the <cctype> calls cost a
+// function call and a thread-local table lookup per byte, about half of the
+// lexing time. Bytes >= 0x80 are in no class, as there.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
 class Lexer {
  public:
-  explicit Lexer(const std::string& input) : input_(input) {}
+  explicit Lexer(std::string_view input) : input_(input) {}
 
   Token Next() {
-    while (pos_ < input_.size() && std::isspace(
-               static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ >= input_.size()) return Token{Token::Kind::kEnd, "", 0};
+    while (pos_ < input_.size() && IsSpace(input_[pos_])) ++pos_;
+    if (pos_ >= input_.size()) return Token{Token::Kind::kEnd, {}, 0};
+    const size_t start = pos_;
     char c = input_[pos_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = pos_;
+    if (IsAlpha(c) || c == '_') {
       while (pos_ < input_.size() &&
-             (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
+             (IsAlpha(input_[pos_]) || IsDigit(input_[pos_]) ||
               input_[pos_] == '_')) {
         ++pos_;
       }
-      return Token{Token::Kind::kIdent, input_.substr(start, pos_ - start), 0};
+      return Token{Token::Kind::kIdent, Span(start), 0};
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && pos_ + 1 < input_.size() &&
-         std::isdigit(static_cast<unsigned char>(input_[pos_ + 1])))) {
-      size_t start = pos_;
+    if (IsDigit(c) ||
+        (c == '-' && pos_ + 1 < input_.size() && IsDigit(input_[pos_ + 1]))) {
       ++pos_;
-      while (pos_ < input_.size() &&
-             std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-        ++pos_;
-      }
-      Token t{Token::Kind::kNumber, input_.substr(start, pos_ - start), 0};
+      while (pos_ < input_.size() && IsDigit(input_[pos_])) ++pos_;
+      Token t{Token::Kind::kNumber, Span(start), 0};
       const char* first = t.text.data();
       const char* last = first + t.text.size();
       auto [ptr, ec] = std::from_chars(first, last, t.number);
@@ -66,31 +69,58 @@ class Lexer {
     // Multi-char comparison operators.
     if ((c == '<' || c == '>') && pos_ + 1 < input_.size() &&
         input_[pos_ + 1] == '=') {
-      pos_ += 2;
-      return Token{Token::Kind::kSymbol, std::string(1, c) + "=", 0};
+      ++pos_;
     }
     ++pos_;
-    return Token{Token::Kind::kSymbol, std::string(1, c), 0};
+    return Token{Token::Kind::kSymbol, Span(start), 0};
   }
 
  private:
-  const std::string& input_;
+  std::string_view Span(size_t start) const {
+    return input_.substr(start, pos_ - start);
+  }
+
+  std::string_view input_;
   size_t pos_ = 0;
 };
 
-std::string Upper(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::toupper(
-                        static_cast<unsigned char>(c)));
-  return s;
+// `kw` is an upper-case ASCII keyword. Identifiers are ASCII letters, digits
+// and '_', so folding a-z in place is the whole of a case-insensitive
+// compare.
+bool IsKeyword(const Token& t, std::string_view kw) {
+  if (t.kind != Token::Kind::kIdent || t.text.size() != kw.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < kw.size(); ++i) {
+    char c = t.text[i];
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+    if (c != kw[i]) return false;
+  }
+  return true;
 }
 
-bool IsKeyword(const Token& t, const char* kw) {
-  return t.kind == Token::Kind::kIdent && Upper(t.text) == kw;
+bool IsSymbol(const Token& t, std::string_view sym) {
+  return t.kind == Token::Kind::kSymbol && t.text == sym;
+}
+
+// " near '<token>'" for error messages.
+std::string Near(const Token& t) {
+  std::string out = " near '";
+  out.append(t.text);
+  out += '\'';
+  return out;
 }
 
 struct ColumnSite {
   int table = -1;
   int column = -1;
+};
+
+// One column's merged range constraint.
+struct ColumnRange {
+  ColumnSite site;
+  storage::Value lo = 0;
+  storage::Value hi = 0;
 };
 
 }  // namespace
@@ -108,25 +138,24 @@ Result<Query> ParseSql(const std::string& sql, const storage::Database& db) {
   // wherever a number is expected.
   auto number_error = [&](const std::string& context) -> Status {
     if (tok.kind == Token::Kind::kBadNumber) {
-      return Status::InvalidArgument("integer literal out of range near '" +
-                                     tok.text + "'");
+      return Status::InvalidArgument("integer literal out of range" +
+                                     Near(tok));
     }
-    return Status::InvalidArgument("expected number " + context + " near '" +
-                                   tok.text + "'");
+    return Status::InvalidArgument("expected number " + context + Near(tok));
   };
 
   auto expect_keyword = [&](const char* kw) -> Status {
     if (!IsKeyword(tok, kw)) {
       return Status::InvalidArgument(std::string("expected ") + kw +
-                                     " near '" + tok.text + "'");
+                                     Near(tok));
     }
     tok = lexer.Next();
     return Status::OK();
   };
   auto expect_symbol = [&](const char* sym) -> Status {
-    if (tok.kind != Token::Kind::kSymbol || tok.text != sym) {
-      return Status::InvalidArgument(std::string("expected '") + sym +
-                                     "' near '" + tok.text + "'");
+    if (!IsSymbol(tok, sym)) {
+      return Status::InvalidArgument(std::string("expected '") + sym + "'" +
+                                     Near(tok));
     }
     tok = lexer.Next();
     return Status::OK();
@@ -144,11 +173,12 @@ Result<Query> ParseSql(const std::string& sql, const storage::Database& db) {
   // Table list.
   for (;;) {
     if (tok.kind != Token::Kind::kIdent) {
-      return Status::InvalidArgument("expected table name near '" + tok.text +
-                                     "'");
+      return Status::InvalidArgument("expected table name" + Near(tok));
     }
     int t = schema.TableIndex(tok.text);
-    if (t < 0) return Status::InvalidArgument("unknown table " + tok.text);
+    if (t < 0) {
+      return Status::InvalidArgument("unknown table " + std::string(tok.text));
+    }
     if (q.tables.size() >= kMaxFromTables) {
       return Status::InvalidArgument("FROM list exceeds " +
                                      std::to_string(kMaxFromTables) +
@@ -156,7 +186,7 @@ Result<Query> ParseSql(const std::string& sql, const storage::Database& db) {
     }
     q.tables.push_back(t);
     tok = lexer.Next();
-    if (tok.kind == Token::Kind::kSymbol && tok.text == ",") {
+    if (IsSymbol(tok, ",")) {
       tok = lexer.Next();
       continue;
     }
@@ -169,45 +199,46 @@ Result<Query> ParseSql(const std::string& sql, const storage::Database& db) {
   // Column reference: table . column
   auto parse_column = [&]() -> Result<ColumnSite> {
     if (tok.kind != Token::Kind::kIdent) {
-      return Status::InvalidArgument("expected column reference near '" +
-                                     tok.text + "'");
+      return Status::InvalidArgument("expected column reference" + Near(tok));
     }
-    std::string table_name = tok.text;
+    const std::string_view table_name = tok.text;
     tok = lexer.Next();
     if (Status s = expect_symbol("."); !s.ok()) return s;
     if (tok.kind != Token::Kind::kIdent) {
       return Status::InvalidArgument("expected column name after '" +
-                                     table_name + ".'");
+                                     std::string(table_name) + ".'");
     }
     ColumnSite site;
     site.table = schema.TableIndex(table_name);
     if (site.table < 0) {
-      return Status::InvalidArgument("unknown table " + table_name);
+      return Status::InvalidArgument("unknown table " +
+                                     std::string(table_name));
     }
     site.column = schema.tables[site.table].ColumnIndex(tok.text);
     if (site.column < 0) {
-      return Status::InvalidArgument("unknown column " + table_name + "." +
-                                     tok.text);
+      return Status::InvalidArgument("unknown column " +
+                                     std::string(table_name) + "." +
+                                     std::string(tok.text));
     }
     tok = lexer.Next();
     return site;
   };
 
-  // Merges a half-open or closed constraint into per-column ranges.
-  std::map<std::pair<int, int>, std::pair<storage::Value, storage::Value>>
-      ranges;
+  // Merges a half-open or closed constraint into per-column ranges. A
+  // statement constrains a handful of columns, so a linear scan beats a map.
+  std::vector<ColumnRange> ranges;
   auto constrain = [&](const ColumnSite& site, storage::Value lo,
                        storage::Value hi) {
+    for (ColumnRange& r : ranges) {
+      if (r.site.table == site.table && r.site.column == site.column) {
+        r.lo = std::max(r.lo, lo);
+        r.hi = std::min(r.hi, hi);
+        return;
+      }
+    }
     const storage::ColumnStats& stats =
         db.table(site.table).stats(site.column);
-    auto key = std::make_pair(site.table, site.column);
-    auto it = ranges.find(key);
-    if (it == ranges.end()) {
-      ranges[key] = {std::max(lo, stats.min), std::min(hi, stats.max)};
-    } else {
-      it->second.first = std::max(it->second.first, lo);
-      it->second.second = std::min(it->second.second, hi);
-    }
+    ranges.push_back({site, std::max(lo, stats.min), std::min(hi, stats.max)});
   };
 
   if (IsKeyword(tok, "WHERE")) {
@@ -222,7 +253,7 @@ Result<Query> ParseSql(const std::string& sql, const storage::Database& db) {
       Result<ColumnSite> left = parse_column();
       if (!left.ok()) return left.status();
 
-      if (tok.kind == Token::Kind::kSymbol && tok.text == "=") {
+      if (IsSymbol(tok, "=")) {
         tok = lexer.Next();
         if (tok.kind == Token::Kind::kNumber) {
           constrain(left.value(), tok.number, tok.number);
@@ -230,24 +261,25 @@ Result<Query> ParseSql(const std::string& sql, const storage::Database& db) {
         } else if (tok.kind == Token::Kind::kBadNumber) {
           return number_error("after '='");
         } else {
-          // Join condition: col = col. Must match a declared edge.
+          // Join condition: col = col. Must match a declared edge, in
+          // either direction; the edges carry their resolved indexes.
           Result<ColumnSite> right = parse_column();
           if (!right.ok()) return right.status();
+          const ColumnSite& a = left.value();
+          const ColumnSite& b = right.value();
           int edge = -1;
           for (size_t j = 0; j < schema.joins.size(); ++j) {
             const storage::JoinEdge& e = schema.joins[j];
-            int lt = schema.TableIndex(e.left_table);
-            int rt = schema.TableIndex(e.right_table);
-            int lc = schema.tables[lt].ColumnIndex(e.left_column);
-            int rc = schema.tables[rt].ColumnIndex(e.right_column);
-            bool forward = lt == left.value().table &&
-                           lc == left.value().column &&
-                           rt == right.value().table &&
-                           rc == right.value().column;
-            bool backward = rt == left.value().table &&
-                            rc == left.value().column &&
-                            lt == right.value().table &&
-                            lc == right.value().column;
+            const bool forward =
+                e.left_table_index == a.table &&
+                e.left_column_index == a.column &&
+                e.right_table_index == b.table &&
+                e.right_column_index == b.column;
+            const bool backward =
+                e.right_table_index == a.table &&
+                e.right_column_index == a.column &&
+                e.left_table_index == b.table &&
+                e.left_column_index == b.column;
             if (forward || backward) {
               edge = static_cast<int>(j);
               break;
@@ -272,13 +304,12 @@ Result<Query> ParseSql(const std::string& sql, const storage::Database& db) {
         }
         constrain(left.value(), lo, tok.number);
         tok = lexer.Next();
-      } else if (tok.kind == Token::Kind::kSymbol &&
-                 (tok.text == "<" || tok.text == "<=" || tok.text == ">" ||
-                  tok.text == ">=")) {
-        std::string op = tok.text;
+      } else if (IsSymbol(tok, "<") || IsSymbol(tok, "<=") ||
+                 IsSymbol(tok, ">") || IsSymbol(tok, ">=")) {
+        const std::string_view op = tok.text;
         tok = lexer.Next();
         if (tok.kind != Token::Kind::kNumber) {
-          return number_error("after '" + op + "'");
+          return number_error("after '" + std::string(op) + "'");
         }
         storage::Value v = tok.number;
         // Strict bounds at the int64 edge saturate instead of overflowing;
@@ -297,8 +328,7 @@ Result<Query> ParseSql(const std::string& sql, const storage::Database& db) {
         }
         tok = lexer.Next();
       } else {
-        return Status::InvalidArgument("expected comparison near '" +
-                                       tok.text + "'");
+        return Status::InvalidArgument("expected comparison" + Near(tok));
       }
 
       if (IsKeyword(tok, "AND")) {
@@ -309,23 +339,30 @@ Result<Query> ParseSql(const std::string& sql, const storage::Database& db) {
     }
   }
 
-  if (tok.kind == Token::Kind::kSymbol && tok.text == ";") tok = lexer.Next();
+  if (IsSymbol(tok, ";")) tok = lexer.Next();
   if (tok.kind != Token::Kind::kEnd) {
-    return Status::InvalidArgument("trailing input near '" + tok.text + "'");
+    return Status::InvalidArgument("trailing input" + Near(tok));
   }
 
   // Deduplicate join edges and materialize predicates.
   std::sort(q.join_edges.begin(), q.join_edges.end());
   q.join_edges.erase(std::unique(q.join_edges.begin(), q.join_edges.end()),
                      q.join_edges.end());
-  for (const auto& [key, range] : ranges) {
-    if (range.first > range.second) {
+  // Predicates in (table, column) order, as the IR's canonical form.
+  std::sort(ranges.begin(), ranges.end(),
+            [](const ColumnRange& x, const ColumnRange& y) {
+              return std::make_pair(x.site.table, x.site.column) <
+                     std::make_pair(y.site.table, y.site.column);
+            });
+  q.predicates.reserve(ranges.size());
+  for (const ColumnRange& r : ranges) {
+    if (r.lo > r.hi) {
       return Status::InvalidArgument("contradictory constraints on a column");
     }
     Predicate p;
-    p.col = {key.first, key.second};
-    p.lo = range.first;
-    p.hi = range.second;
+    p.col = {r.site.table, r.site.column};
+    p.lo = r.lo;
+    p.hi = r.hi;
     q.predicates.push_back(p);
   }
 

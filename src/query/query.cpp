@@ -64,8 +64,8 @@ Status Validate(const Query& q, const storage::Database& db) {
       return Status::InvalidArgument("join edge index out of range");
     }
     const storage::JoinEdge& e = schema.joins[j];
-    int lt = schema.TableIndex(e.left_table);
-    int rt = schema.TableIndex(e.right_table);
+    const int lt = e.left_table_index;
+    const int rt = e.right_table_index;
     if (!q.UsesTable(lt) || !q.UsesTable(rt)) {
       return Status::InvalidArgument("join edge touches a table not in query");
     }
@@ -102,8 +102,9 @@ Query Restrict(const Query& q, const std::vector<int>& tables,
   };
   for (int e : q.join_edges) {
     const storage::JoinEdge& je = schema.joins[e];
-    if (in_subset(schema.TableIndex(je.left_table)) &&
-        in_subset(schema.TableIndex(je.right_table))) {
+    LCE_CHECK_MSG(je.left_table_index >= 0 && je.right_table_index >= 0,
+                  "Restrict needs a schema with resolved joins");
+    if (in_subset(je.left_table_index) && in_subset(je.right_table_index)) {
       sub.join_edges.push_back(e);
     }
   }

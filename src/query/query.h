@@ -71,7 +71,8 @@ std::string JoinTemplateKey(const Query& q);
 
 /// The query restricted to a subset of its tables: keeps the predicates on
 /// those tables and the induced join edges. `tables` must be a connected
-/// subset of q.tables (as produced by the planner).
+/// subset of q.tables (as produced by the planner); `schema` must come from a
+/// Database, which resolves its join edges' table indexes.
 Query Restrict(const Query& q, const std::vector<int>& tables,
                const storage::DatabaseSchema& schema);
 

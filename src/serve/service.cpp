@@ -1,10 +1,26 @@
 #include "src/serve/service.h"
 
+#include <limits>
+
 #include "src/util/logging.h"
 #include "src/util/telemetry/telemetry.h"
 
 namespace lce {
 namespace serve {
+
+namespace {
+
+// The service's answer contract: a finite estimate of at least 1. NaN and
+// values below 1 become 1, +inf the largest finite double; each repair is
+// counted in `invalid`.
+double GuardEstimate(double estimate, telemetry::Counter* invalid) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  if (estimate >= 1.0 && estimate <= kMax) return estimate;
+  invalid->Increment();
+  return estimate > kMax ? kMax : 1.0;
+}
+
+}  // namespace
 
 EstimationService::EstimationService(const storage::Database* db,
                                      const BatcherOptions& options)
@@ -25,6 +41,8 @@ uint64_t EstimationService::RegisterModel(
       auto& metrics = telemetry::MetricsRegistry::Global();
       state->requests = &metrics.counter("serve." + name + ".requests");
       state->explains = &metrics.counter("serve." + name + ".explains");
+      state->invalid_estimates =
+          &metrics.counter("serve." + name + ".invalid_estimates");
       ModelState* raw = state.get();
       state->batcher = std::make_unique<MicroBatcher>(
           options_, [this, raw](const std::vector<query::Query>& queries,
@@ -85,6 +103,7 @@ Result<EstimateResponse> EstimationService::Estimate(const std::string& model,
     resp.batch_size = ticket.batch_size;
     resp.queue_wait_us = ticket.queue_wait_us;
   }
+  resp.estimate = GuardEstimate(resp.estimate, state->invalid_estimates);
   state->requests->Increment();
   resp.model = model;
   return resp;
@@ -106,6 +125,9 @@ Result<ExplainResponse> EstimationService::ExplainSql(const std::string& model,
     out.response.estimate =
         entry->estimator->EstimateWithDiagnostics(parsed.value(), &out.record);
   }
+  out.response.estimate =
+      GuardEstimate(out.response.estimate, state->invalid_estimates);
+  out.record.estimate = out.response.estimate;
   state->explains->Increment();
   out.response.model = model;
   out.response.model_version = entry->version;

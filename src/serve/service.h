@@ -49,6 +49,9 @@ namespace serve {
 
 /// One answered request.
 struct EstimateResponse {
+  /// Always finite and at least 1: the service repairs a model's NaN or
+  /// sub-1 answer to 1 and +inf to the largest finite double, counting each
+  /// repair in serve.<model>.invalid_estimates.
   double estimate = 0;
   std::string model;
   uint64_t model_version = 0;
@@ -106,6 +109,8 @@ class EstimationService {
     std::string name;
     telemetry::Counter* requests = nullptr;  // serve.<name>.requests
     telemetry::Counter* explains = nullptr;  // serve.<name>.explains
+    // serve.<name>.invalid_estimates: answers repaired to finite and >= 1
+    telemetry::Counter* invalid_estimates = nullptr;
     std::mutex exec_mu;  // serializes estimators not ThreadSafeEstimate()
     std::unique_ptr<MicroBatcher> batcher;
   };

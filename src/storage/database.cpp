@@ -13,10 +13,11 @@ Database::Database(DatabaseSchema schema) : schema_(std::move(schema)) {
   for (const auto& ts : schema_.tables) {
     tables_.push_back(std::make_unique<Table>(ts));
   }
+  schema_.ResolveJoins();
   for (const auto& j : schema_.joins) {
-    LCE_CHECK_MSG(schema_.TableIndex(j.left_table) >= 0,
+    LCE_CHECK_MSG(j.left_table_index >= 0,
                   "join references unknown table " << j.left_table);
-    LCE_CHECK_MSG(schema_.TableIndex(j.right_table) >= 0,
+    LCE_CHECK_MSG(j.right_table_index >= 0,
                   "join references unknown table " << j.right_table);
   }
 }

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lce {
@@ -22,7 +23,7 @@ struct TableSchema {
   std::vector<ColumnDef> columns;
 
   /// Index of a column by name; -1 when absent.
-  int ColumnIndex(const std::string& column_name) const {
+  int ColumnIndex(std::string_view column_name) const {
     for (size_t i = 0; i < columns.size(); ++i) {
       if (columns[i].name == column_name) return static_cast<int>(i);
     }
@@ -37,6 +38,15 @@ struct JoinEdge {
   std::string left_column;
   std::string right_table;
   std::string right_column;
+
+  /// Schema indexes of the four names above, so hot paths (parsing,
+  /// validation, sub-plan restriction) compare ints instead of scanning
+  /// names. Filled by DatabaseSchema::ResolveJoins(), which the Database
+  /// constructor runs; -1 until then, and for a name the schema lacks.
+  int left_table_index = -1;
+  int left_column_index = -1;
+  int right_table_index = -1;
+  int right_column_index = -1;
 };
 
 /// Full logical schema of a database: tables plus join graph. Estimators use
@@ -47,11 +57,27 @@ struct DatabaseSchema {
   std::vector<TableSchema> tables;
   std::vector<JoinEdge> joins;
 
-  int TableIndex(const std::string& table_name) const {
+  int TableIndex(std::string_view table_name) const {
     for (size_t i = 0; i < tables.size(); ++i) {
       if (tables[i].name == table_name) return static_cast<int>(i);
     }
     return -1;
+  }
+
+  /// Fills every join edge's table and column indexes from its names.
+  void ResolveJoins() {
+    for (JoinEdge& e : joins) {
+      e.left_table_index = TableIndex(e.left_table);
+      e.right_table_index = TableIndex(e.right_table);
+      e.left_column_index =
+          e.left_table_index < 0
+              ? -1
+              : tables[e.left_table_index].ColumnIndex(e.left_column);
+      e.right_column_index =
+          e.right_table_index < 0
+              ? -1
+              : tables[e.right_table_index].ColumnIndex(e.right_column);
+    }
   }
 
   /// Total number of (table, column) pairs, the width basis of flat encodings.

@@ -1,10 +1,14 @@
-// Bit-identity of the batched (SoA, level-synchronous) GBDT inference path
-// against per-row Predict(), on a randomized ensemble, across LCE_SIMD
-// settings and thread counts — plus the LW-XGB EstimateBatch wiring.
+// Bit-identity of the raw-edge GBDT inference paths (single-row lane walk,
+// row-blocked batch walk) against per-row Predict() and against the binned
+// definition, on a randomized ensemble, across LCE_SIMD settings and thread
+// counts, including rows that sit exactly on split edges or hold ±0, ±inf
+// and NaN — plus the LW-XGB EstimateBatch wiring.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,6 +78,99 @@ TEST(GbdtBatchTest, PredictBatchIsBitIdenticalToPredict) {
             << "row " << i << " simd=" << simd_on << " threads=" << threads;
       }
     }
+  }
+}
+
+// The binned definition of Predict(): bin the row, walk each AoS tree, sum
+// in ensemble order. Also the per-tree path statistics, from tree.nodes().
+float BinnedReference(const GradientBoosting& model, float lr,
+                      const std::vector<float>& row,
+                      GradientBoosting::PredictStats* stats) {
+  const std::vector<uint8_t> binned = model.binner().Transform(row);
+  float out = model.base_score();
+  *stats = GradientBoosting::PredictStats{};
+  for (const RegressionTree& tree : model.trees()) {
+    out += lr * tree.Predict(binned);
+    const std::vector<TreeNode>& nodes = tree.nodes();
+    int cur = 0;
+    int depth = 0;
+    while (!nodes[cur].is_leaf) {
+      cur = binned[nodes[cur].feature] <= nodes[cur].bin_threshold
+                ? nodes[cur].left
+                : nodes[cur].right;
+      ++depth;
+    }
+    ++stats->trees;
+    stats->nodes_visited += static_cast<uint64_t>(depth);
+    stats->max_path_depth = std::max(stats->max_path_depth, depth);
+  }
+  stats->mean_path_depth =
+      static_cast<double>(stats->nodes_visited) / stats->trees;
+  return out;
+}
+
+TEST(GbdtBatchTest, RawEdgeWalkMatchesBinnedTreesAtEveryEdgeValue) {
+  std::vector<std::vector<float>> rows;
+  std::vector<float> targets;
+  MakeProblem(900, &rows, &targets);
+  GradientBoosting::Options opts;
+  opts.num_trees = 40;
+  GradientBoosting model(opts);
+  model.Fit(rows, targets);
+  const float lr = opts.learning_rate;
+  const float inf = std::numeric_limits<float>::infinity();
+
+  // For each feature in turn: every split edge a tree uses, the floats
+  // right next to it, signed zeros, infinities and NaN. The other features
+  // keep a training row's values.
+  std::vector<std::vector<float>> probes;
+  const size_t num_features = rows[0].size();
+  for (size_t f = 0; f < num_features; ++f) {
+    std::vector<float> values = {0.0f, -0.0f, inf, -inf,
+                                 std::numeric_limits<float>::quiet_NaN()};
+    for (const RegressionTree& tree : model.trees()) {
+      for (const TreeNode& n : tree.nodes()) {
+        if (n.is_leaf || n.feature != static_cast<int>(f)) continue;
+        const float edge = model.binner().BinUpperEdge(n.feature,
+                                                       n.bin_threshold);
+        values.push_back(edge);
+        values.push_back(std::nextafter(edge, inf));
+        values.push_back(std::nextafter(edge, -inf));
+      }
+    }
+    ASSERT_GT(values.size(), 5u) << "no split on feature " << f;
+    for (size_t base = 0; base < 3; ++base) {
+      for (float v : values) {
+        std::vector<float> row = rows[base];
+        row[f] = v;
+        probes.push_back(row);
+      }
+    }
+  }
+  probes.push_back(std::vector<float>(num_features,
+                                      std::numeric_limits<float>::quiet_NaN()));
+  probes.push_back(std::vector<float>(num_features, -inf));
+  probes.push_back(std::vector<float>(num_features, inf));
+
+  KernelEnvGuard guard;
+  std::vector<float> batch[2];
+  for (int simd_on : {0, 1}) {
+    simd::SetSimdEnabledForTesting(simd_on);
+    batch[simd_on] = model.PredictBatch(probes);
+  }
+  for (size_t i = 0; i < probes.size(); ++i) {
+    GradientBoosting::PredictStats want_stats;
+    const float want = BinnedReference(model, lr, probes[i], &want_stats);
+    GradientBoosting::PredictStats stats;
+    const float with_stats = model.PredictWithStats(probes[i], &stats);
+    ASSERT_EQ(BitsOf(model.Predict(probes[i])), BitsOf(want)) << "probe " << i;
+    ASSERT_EQ(BitsOf(with_stats), BitsOf(want)) << "probe " << i;
+    ASSERT_EQ(BitsOf(batch[0][i]), BitsOf(want)) << "probe " << i;
+    ASSERT_EQ(BitsOf(batch[1][i]), BitsOf(want)) << "probe " << i;
+    EXPECT_EQ(stats.trees, want_stats.trees);
+    EXPECT_EQ(stats.nodes_visited, want_stats.nodes_visited) << "probe " << i;
+    EXPECT_EQ(stats.max_path_depth, want_stats.max_path_depth);
+    EXPECT_EQ(stats.mean_path_depth, want_stats.mean_path_depth);
   }
 }
 

@@ -72,6 +72,159 @@ TEST_F(ParserTest, KeywordsAreCaseInsensitive) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 }
 
+TEST_F(ParserTest, LowerAndMixedCaseKeywordsParseLikeUpperCase) {
+  const std::string upper =
+      "SELECT COUNT(*) FROM customer, orders "
+      "WHERE customer.c_custkey = orders.o_custkey "
+      "AND orders.o_orderdate BETWEEN 100 AND 500 "
+      "AND customer.c_acctbal >= 7;";
+  auto want = ParseSql(upper, *db_);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  for (const char* sql :
+       {"select count(*) from customer, orders "
+        "where customer.c_custkey = orders.o_custkey "
+        "and orders.o_orderdate between 100 and 500 "
+        "and customer.c_acctbal >= 7;",
+        "SeLeCt CoUnT(*) FrOm customer, orders "
+        "wHeRe customer.c_custkey = orders.o_custkey "
+        "AnD orders.o_orderdate bEtWeEn 100 aNd 500 "
+        "aND customer.c_acctbal >= 7;"}) {
+    auto got = ParseSql(sql, *db_);
+    ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
+    EXPECT_EQ(ToSql(got.value(), db_->schema()),
+              ToSql(want.value(), db_->schema()));
+  }
+  // A keyword must match whole: a longer or shorter identifier is not it.
+  EXPECT_FALSE(ParseSql("SELECTS COUNT(*) FROM customer;", *db_).ok());
+  EXPECT_FALSE(ParseSql("SELECT COUN(*) FROM customer;", *db_).ok());
+  auto bad = ParseSql("SELECT COUNT(*) FROMX customer;", *db_);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("expected FROM near 'FROMX'"),
+            std::string::npos)
+      << bad.status().ToString();
+}
+
+TEST_F(ParserTest, ReversedJoinConditionResolvesToTheSameEdge) {
+  const storage::DatabaseSchema& schema = db_->schema();
+  ASSERT_FALSE(schema.joins.empty());
+  for (size_t j = 0; j < schema.joins.size(); ++j) {
+    const storage::JoinEdge& e = schema.joins[j];
+    const std::string from =
+        "SELECT COUNT(*) FROM " + e.left_table + ", " + e.right_table;
+    const std::string left = e.left_table + "." + e.left_column;
+    const std::string right = e.right_table + "." + e.right_column;
+    for (const std::string& sql :
+         {from + " WHERE " + left + " = " + right + ";",
+          from + " WHERE " + right + " = " + left + ";"}) {
+      auto result = ParseSql(sql, *db_);
+      ASSERT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+      EXPECT_EQ(result.value().join_edges, (std::vector<int>{static_cast<int>(j)}))
+          << sql;
+    }
+  }
+}
+
+// Names of 16 bytes or more do not fit a std::string's inline buffer; the
+// parser must resolve them and quote them in errors all the same.
+class LongNameParserTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    storage::DatabaseSchema s;
+    s.name = "long_names";
+    s.tables = {
+        storage::TableSchema{kAccounts,
+                             {{"customer_account_id", true},
+                              {"lifetime_balance_cents", false}}},
+        storage::TableSchema{kLedger,
+                             {{"transaction_id", true},
+                              {"customer_account_ref", false},
+                              {"transaction_amount_cents", false}}}};
+    s.joins = {{kAccounts, "customer_account_id", kLedger,
+                "customer_account_ref"}};
+    db_ = std::make_unique<storage::Database>(std::move(s));
+    for (storage::Value i = 0; i < 100; ++i) {
+      db_->table(0).AppendRow({i, i % 50});
+      db_->table(1).AppendRow({i, i % 100, i * 3});
+    }
+    db_->FinalizeAll();
+  }
+
+  static constexpr const char* kAccounts = "customer_accounts_archive";
+  static constexpr const char* kLedger = "account_transactions_ledger";
+  std::unique_ptr<storage::Database> db_;
+};
+
+TEST_F(LongNameParserTest, AcceptsLongTableAndColumnNames) {
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM customer_accounts_archive, "
+        "account_transactions_ledger WHERE "
+        "customer_accounts_archive.customer_account_id = "
+        "account_transactions_ledger.customer_account_ref AND "
+        "customer_accounts_archive.lifetime_balance_cents BETWEEN 10 AND 40 "
+        "AND account_transactions_ledger.transaction_amount_cents >= 30;",
+        "select count(*) from account_transactions_ledger, "
+        "customer_accounts_archive where "
+        "account_transactions_ledger.customer_account_ref = "
+        "customer_accounts_archive.customer_account_id and "
+        "customer_accounts_archive.lifetime_balance_cents between 10 and 40 "
+        "and account_transactions_ledger.transaction_amount_cents >= 30;"}) {
+    auto result = ParseSql(sql, *db_);
+    ASSERT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    const Query& q = result.value();
+    EXPECT_EQ(q.tables, (std::vector<int>{0, 1}));
+    EXPECT_EQ(q.join_edges, (std::vector<int>{0}));
+    ASSERT_EQ(q.predicates.size(), 2u);
+    EXPECT_EQ(q.predicates[0].col, (ColumnRef{0, 1}));
+    EXPECT_EQ(q.predicates[0].lo, 10);
+    EXPECT_EQ(q.predicates[0].hi, 40);
+    EXPECT_EQ(q.predicates[1].col, (ColumnRef{1, 2}));
+    EXPECT_EQ(q.predicates[1].lo, 30);
+  }
+}
+
+TEST_F(LongNameParserTest, RejectionsQuoteTheLongName) {
+  const struct {
+    std::string sql;
+    std::string quoted;
+  } cases[] = {
+      {"SELECT COUNT(*) FROM customer_accounts_archival_copy;",
+       "unknown table customer_accounts_archival_copy"},
+      {"SELECT COUNT(*) FROM customer_accounts_archive WHERE "
+       "customer_accounts_archive.lifetime_balance_dollars = 3;",
+       "unknown column "
+       "customer_accounts_archive.lifetime_balance_dollars"},
+      {"SELECT COUNT(*) FROM customer_accounts_archive WHERE "
+       "customer_accounts_archive_old.lifetime_balance_cents = 3;",
+       "unknown table customer_accounts_archive_old"},
+      {"SELECT COUNT(*) FROM customer_accounts_archive WHERE "
+       "customer_accounts_archive. = 3;",
+       "expected column name after 'customer_accounts_archive.'"},
+      {"SELECT COUNT(*) FROM customer_accounts_archive WHERE "
+       "customer_accounts_archive.lifetime_balance_cents "
+       "approximately_equals_operator 3;",
+       "expected comparison near 'approximately_equals_operator'"},
+      {"SELECT COUNT(*) FROM customer_accounts_archive "
+       "trailing_identifier_past_the_inline_buffer;",
+       "trailing input near 'trailing_identifier_past_the_inline_buffer'"},
+      {"SELECT COUNT(*) FROM customer_accounts_archive WHERE "
+       "customer_accounts_archive.lifetime_balance_cents BETWEEN "
+       "lower_bound_identifier AND 5;",
+       "expected number after BETWEEN near 'lower_bound_identifier'"},
+      {"SELECT COUNT(*) FROM customer_accounts_archive, "
+       "account_transactions_ledger WHERE "
+       "customer_accounts_archive.lifetime_balance_cents = "
+       "account_transactions_ledger.transaction_amount_cents;",
+       "no declared join edge matches the join condition"},
+  };
+  for (const auto& c : cases) {
+    // A temporary copy of the statement: error text must not point into it.
+    auto result = ParseSql(std::string(c.sql), *db_);
+    ASSERT_FALSE(result.ok()) << c.sql;
+    EXPECT_NE(result.status().message().find(c.quoted), std::string::npos)
+        << c.sql << " -> " << result.status().ToString();
+  }
+}
+
 TEST_F(ParserTest, RoundTripsToSqlOutput) {
   workload::WorkloadOptions opts;
   opts.max_joins = 3;

@@ -3,10 +3,13 @@
 // fast path), and the SQL front end end-to-end — including that serving a
 // query through the batched path (FCN) and the inline path (thread-safe
 // LW-XGB, also across hot swaps) answers bit-identically to calling the
-// estimator directly, and that registering new names under concurrent
-// traffic never crashes a request.
+// estimator directly, that registering new names under concurrent traffic
+// never crashes a request, and that no route answers a non-finite or sub-1
+// estimate.
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 #include "src/serve/model_registry.h"
 #include "src/serve/service.h"
 #include "src/storage/datagen.h"
+#include "src/util/telemetry/telemetry.h"
 #include "src/workload/generator.h"
 
 namespace lce {
@@ -226,6 +230,55 @@ TEST_F(ServiceTest, UnknownModelReturnsNotFound) {
   EXPECT_EQ(resp.status().code(), StatusCode::kNotFound);
 }
 
+// A model's NaN or sub-1 answer is served as 1 and +inf as the largest
+// finite double, on the inline route (thread-safe), the batched route and
+// ExplainSql alike; every repair is counted, a valid answer is not.
+TEST_F(ServiceTest, NonFiniteAndSubOneEstimatesAreRepairedAndCounted) {
+  telemetry::SetMetricsEnabledForTesting(1);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const struct {
+    double raw;
+    double served;
+    uint64_t repairs;  // per request
+  } cases[] = {{std::nan(""), 1.0, 1},
+               {0.25, 1.0, 1},
+               {kInf, kMax, 1},
+               {-kInf, 1.0, 1},
+               {1.0, 1.0, 0}};
+  const std::string sql = "SELECT COUNT(*) FROM customer;";
+  int id = 0;
+  for (bool thread_safe : {false, true}) {
+    for (const auto& c : cases) {
+      const std::string name = "guard" + std::to_string(id++);
+      EstimationService service(db_.get());
+      service.RegisterModel(
+          name, thread_safe
+                    ? std::make_shared<ThreadSafeConstEstimator>(c.raw)
+                    : std::make_shared<ConstEstimator>(c.raw));
+      const telemetry::Counter& invalid =
+          telemetry::MetricsRegistry::Global().counter(
+              "serve." + name + ".invalid_estimates");
+      const uint64_t before = invalid.Value();
+
+      auto est = service.EstimateSql(name, sql);
+      ASSERT_TRUE(est.ok()) << est.status().ToString();
+      EXPECT_EQ(est.value().estimate, c.served)
+          << c.raw << " thread_safe=" << thread_safe;
+      auto direct = service.Estimate(name, OneTableQuery());
+      ASSERT_TRUE(direct.ok());
+      EXPECT_EQ(direct.value().estimate, c.served);
+      auto explain = service.ExplainSql(name, sql);
+      ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+      EXPECT_EQ(explain.value().response.estimate, c.served);
+      EXPECT_EQ(explain.value().record.estimate, c.served);
+      EXPECT_EQ(invalid.Value() - before, 3 * c.repairs)
+          << c.raw << " thread_safe=" << thread_safe;
+    }
+  }
+  telemetry::SetMetricsEnabledForTesting(-1);
+}
+
 TEST_F(ServiceTest, ExplainCarriesDiagnosticsAndMatchesEstimate) {
   EstimationService service(db_.get());
   service.RegisterModel("fcn", std::make_shared<ConstEstimator>(42.0));
@@ -392,7 +445,13 @@ TEST_F(InlineServingTest, HotSwapAnswersMatchTheVersionThatServed) {
   std::atomic<int> served[2] = {0, 0};
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
-      for (int rep = 0; rep < 20; ++rep) {
+      // At least 20 passes, and on until both builds have answered: an
+      // inline estimate takes a few microseconds, so on a loaded host the
+      // 20 passes can end before the swapper is first scheduled.
+      auto both_served = [&] {
+        return served[0].load() > 0 && served[1].load() > 0;
+      };
+      for (int rep = 0; rep < 20 || (rep < 20000 && !both_served()); ++rep) {
         for (size_t i = 0; i < test_.size(); ++i) {
           auto resp = service.Estimate("xgb", test_[i]);
           if (!resp.ok()) {
