@@ -5,84 +5,44 @@
 namespace lce {
 namespace ce {
 
-namespace {
-
-// Shared batched pass of the flat family: encode every query, stack the
-// encodings into one N x d matrix, and run a single multi-row forward —
-// each MatMulBiasAct computes all N rows in one kernel call instead of N
-// GEMVs. Row values are bit-identical to per-query forwards (matrix.h).
-void FlatForwardBatch(const query::QueryEncoder& encoder,
-                      query::FlatVariant variant, nn::Mlp* net,
-                      const std::vector<query::Query>& queries,
-                      std::vector<float>* out) {
-  telemetry::StageTimer::Mark("encode");
-  std::vector<std::vector<float>> rows;
-  rows.reserve(queries.size());
-  for (const query::Query& q : queries) {
-    rows.push_back(encoder.FlatEncode(q, variant));
-  }
-  nn::Matrix x = nn::Matrix::Stack(rows);
-  telemetry::StageTimer::Mark("forward");
-  nn::Matrix y = net->Forward(x);
-  out->resize(queries.size());
-  for (int i = 0; i < y.rows(); ++i) (*out)[i] = y.At(i, 0);
-}
-
-}  // namespace
-
-void LinearEstimator::InitModel(Rng* rng) {
-  int in = encoder().flat_dim_for(options_.flat_variant);
-  net_ = std::make_unique<nn::Mlp>(std::vector<int>{in, 1},
-                                   nn::Activation::kIdentity,
-                                   nn::Activation::kSigmoid, rng);
-}
-
-float LinearEstimator::ForwardOne(const query::Query& q) {
-  telemetry::StageTimer::Mark("encode");
-  // Kept in a member so FillEncodingDiagnostics reuses it (no second encode
-  // per logged query); move-assignment recycles the buffer across calls.
-  last_flat_ = encoder().FlatEncode(q, options_.flat_variant);
-  nn::Matrix x = nn::Matrix::Row(last_flat_);
-  telemetry::StageTimer::Mark("forward");
-  return net_->Forward(x).Scalar();
-}
-
-void LinearEstimator::ForwardBatch(const std::vector<query::Query>& queries,
-                                   std::vector<float>* out) {
-  FlatForwardBatch(encoder(), options_.flat_variant, net_.get(), queries, out);
-}
-
-void LinearEstimator::BackwardOne(float dpred) {
-  nn::Matrix g(1, 1);
-  g.At(0, 0) = dpred;
-  net_->Backward(g);
-}
-
-void FcnEstimator::InitModel(Rng* rng) {
+void FlatEstimator::InitModel(Rng* rng) {
   std::vector<int> dims;
   dims.push_back(encoder().flat_dim_for(options_.flat_variant));
-  for (int l = 0; l < options_.num_hidden_layers; ++l) {
-    dims.push_back(options_.hidden_dim);
+  if (hidden_layers_) {
+    for (int l = 0; l < options_.num_hidden_layers; ++l) {
+      dims.push_back(options_.hidden_dim);
+    }
   }
   dims.push_back(1);
   net_ = std::make_unique<nn::Mlp>(dims, nn::Activation::kRelu,
                                    nn::Activation::kSigmoid, rng);
 }
 
-float FcnEstimator::ForwardOne(const query::Query& q) {
-  telemetry::StageTimer::Mark("encode");
-  last_flat_ = encoder().FlatEncode(q, options_.flat_variant);
-  nn::Matrix x = nn::Matrix::Row(last_flat_);
-  telemetry::StageTimer::Mark("forward");
+float FlatEstimator::ForwardOne(const query::Query& q) {
+  nn::Matrix x =
+      nn::Matrix::Row(encoder().FlatEncode(q, options_.flat_variant));
   return net_->Forward(x).Scalar();
 }
 
-void FcnEstimator::ForwardBatch(const std::vector<query::Query>& queries,
-                                std::vector<float>* out) {
-  FlatForwardBatch(encoder(), options_.flat_variant, net_.get(), queries, out);
+void FlatEstimator::ForwardBatch(std::span<const query::Query> queries,
+                                 float* out, FeatureStats* stats) const {
+  // Encode every query straight into one N x d matrix and run a single
+  // multi-row forward: each layer is one kernel call instead of N GEMVs,
+  // and row values are bit-identical to per-query forwards (matrix.h).
+  thread_local nn::Matrix x, y;
+  telemetry::StageTimer::Mark("encode");
+  const int n = static_cast<int>(queries.size());
+  x.Reset(n, encoder().flat_dim_for(options_.flat_variant));
+  for (int i = 0; i < n; ++i) {
+    encoder().FlatEncodeInto(queries[i], options_.flat_variant, x.RowPtr(i));
+  }
+  if (stats != nullptr) *stats = StatsOf(x.RowPtr(0), x.cols());
+  telemetry::StageTimer::Mark("forward");
+  net_->InferInto(x, &y);
+  for (int i = 0; i < n; ++i) out[i] = y.At(i, 0);
 }
 
-void FcnEstimator::BackwardOne(float dpred) {
+void FlatEstimator::BackwardOne(float dpred) {
   nn::Matrix g(1, 1);
   g.At(0, 0) = dpred;
   net_->Backward(g);

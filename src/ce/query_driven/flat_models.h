@@ -13,56 +13,42 @@
 namespace lce {
 namespace ce {
 
-/// Single sigmoid unit over the flat encoding: the study's minimal-capacity
-/// reference point (robust, weak fit).
-class LinearEstimator : public NeuralQueryDrivenEstimator {
- public:
-  explicit LinearEstimator(NeuralOptions options = {})
-      : NeuralQueryDrivenEstimator(options) {}
-  std::string Name() const override { return "Linear"; }
-
+/// An MLP over the flat encoding; Linear and FCN differ only in whether it
+/// has hidden layers.
+class FlatEstimator : public NeuralQueryDrivenEstimator {
  protected:
+  FlatEstimator(NeuralOptions options, bool hidden_layers)
+      : NeuralQueryDrivenEstimator(options), hidden_layers_(hidden_layers) {}
+
   void InitModel(Rng* rng) override;
   float ForwardOne(const query::Query& q) override;
-  void ForwardBatch(const std::vector<query::Query>& queries,
-                    std::vector<float>* out) override;
+  void ForwardBatch(std::span<const query::Query> queries, float* out,
+                    FeatureStats* stats) const override;
   void BackwardOne(float dpred) override;
   std::vector<nn::Param*> Params() override { return net_->Params(); }
   size_t NumParams() const override { return net_ ? net_->NumParams() : 0; }
-  void FillEncodingDiagnostics(const query::Query& /*q*/,
-                               ExplainRecord* rec) override {
-    AddFeatureStats(last_flat_, rec);  // ForwardOne just produced it
-  }
 
  private:
+  bool hidden_layers_;
   std::unique_ptr<nn::Mlp> net_;
-  std::vector<float> last_flat_;  // encoding of the last ForwardOne query
+};
+
+/// Single sigmoid unit over the flat encoding: the study's minimal-capacity
+/// reference point (robust, weak fit).
+class LinearEstimator : public FlatEstimator {
+ public:
+  explicit LinearEstimator(NeuralOptions options = {})
+      : FlatEstimator(options, /*hidden_layers=*/false) {}
+  std::string Name() const override { return "Linear"; }
 };
 
 /// Fully-connected network over the flat encoding (Dutt et al.'s LW-NN /
 /// the study's FCN). The flat_variant option feeds the encoding ablation.
-class FcnEstimator : public NeuralQueryDrivenEstimator {
+class FcnEstimator : public FlatEstimator {
  public:
   explicit FcnEstimator(NeuralOptions options = {})
-      : NeuralQueryDrivenEstimator(options) {}
+      : FlatEstimator(options, /*hidden_layers=*/true) {}
   std::string Name() const override { return "FCN"; }
-
- protected:
-  void InitModel(Rng* rng) override;
-  float ForwardOne(const query::Query& q) override;
-  void ForwardBatch(const std::vector<query::Query>& queries,
-                    std::vector<float>* out) override;
-  void BackwardOne(float dpred) override;
-  std::vector<nn::Param*> Params() override { return net_->Params(); }
-  size_t NumParams() const override { return net_ ? net_->NumParams() : 0; }
-  void FillEncodingDiagnostics(const query::Query& /*q*/,
-                               ExplainRecord* rec) override {
-    AddFeatureStats(last_flat_, rec);  // ForwardOne just produced it
-  }
-
- private:
-  std::unique_ptr<nn::Mlp> net_;
-  std::vector<float> last_flat_;  // encoding of the last ForwardOne query
 };
 
 }  // namespace ce

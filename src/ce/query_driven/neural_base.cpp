@@ -162,10 +162,11 @@ double NeuralQueryDrivenEstimator::RunEpoch(
 
 double NeuralQueryDrivenEstimator::EstimateCardinality(const query::Query& q) {
   LCE_CHECK_MSG(built_, Name() << ": Build() before EstimateCardinality()");
-  // Stage decomposition: ForwardOne marks encode/forward; the denormalize
+  // Stage decomposition: ForwardBatch marks encode/forward; the denormalize
   // tail is postprocess.
   telemetry::StageTimer stages([this] { return Name(); });
-  float y = ForwardOne(q);
+  float y;
+  ForwardBatch({&q, 1}, &y, nullptr);
   telemetry::StageTimer::Mark("postprocess");
   return encoder_->DenormalizeLog(std::clamp(y, 0.0f, 1.0f));
 }
@@ -179,23 +180,13 @@ std::vector<double> NeuralQueryDrivenEstimator::EstimateBatch(
   // batch size, so batch and per-query paths share one scale.
   telemetry::StageTimer stages([this] { return Name(); },
                                static_cast<uint64_t>(queries.size()));
-  std::vector<float> preds;
-  ForwardBatch(queries, &preds);
-  LCE_CHECK(preds.size() == queries.size());
+  std::vector<float> preds(queries.size());
+  ForwardBatch(queries, preds.data(), nullptr);
   telemetry::StageTimer::Mark("postprocess");
   for (size_t i = 0; i < preds.size(); ++i) {
     out[i] = encoder_->DenormalizeLog(std::clamp(preds[i], 0.0f, 1.0f));
   }
   return out;
-}
-
-void NeuralQueryDrivenEstimator::ForwardBatch(
-    const std::vector<query::Query>& queries, std::vector<float>* out) {
-  // Fallback for subclasses without a vectorized pass: the plain loop, which
-  // satisfies the bit-identity contract trivially.
-  out->clear();
-  out->reserve(queries.size());
-  for (const query::Query& q : queries) out->push_back(ForwardOne(q));
 }
 
 double NeuralQueryDrivenEstimator::EstimateWithDiagnostics(
@@ -210,16 +201,19 @@ double NeuralQueryDrivenEstimator::EstimateWithDiagnostics(
   }
   double est;
   float y, clamped;
+  FeatureStats stats;
   {
     telemetry::StageTimer stages([this] { return Name(); });
-    y = ForwardOne(q);
+    ForwardBatch({&q, 1}, &y, &stats);
     telemetry::StageTimer::Mark("postprocess");
     clamped = std::clamp(y, 0.0f, 1.0f);
     est = encoder_->DenormalizeLog(clamped);
   }
 
   rec->AddCounter("pred_normalized", static_cast<double>(y));
-  FillEncodingDiagnostics(q, rec);
+  rec->AddCounter("feat_dim", stats.dim);
+  rec->AddCounter("feat_nonzeros", stats.nonzeros);
+  rec->AddCounter("feat_l2", stats.l2);
   if (y != clamped) {
     rec->AddFallback("nn.output_clamped",
                      "sigmoid output " + std::to_string(y) +
@@ -229,24 +223,23 @@ double NeuralQueryDrivenEstimator::EstimateWithDiagnostics(
   return est;
 }
 
-void NeuralQueryDrivenEstimator::FillEncodingDiagnostics(const query::Query& q,
-                                                         ExplainRecord* rec) {
-  // Featurization stats from a fresh (read-only) encoding of the same query;
-  // ForwardOne's cached activations and the estimate are untouched.
-  AddFeatureStats(encoder_->FlatEncode(q, options_.flat_variant), rec);
-}
-
-void NeuralQueryDrivenEstimator::AddFeatureStats(const std::vector<float>& feat,
-                                                 ExplainRecord* rec) {
+NeuralQueryDrivenEstimator::FeatureStats NeuralQueryDrivenEstimator::StatsOf(
+    const float* feat, int n) {
   double l2 = 0;
   int nonzeros = 0;
-  for (float f : feat) {
-    l2 += static_cast<double>(f) * f;
-    if (f != 0.0f) ++nonzeros;
+  for (int i = 0; i < n; ++i) {
+    l2 += static_cast<double>(feat[i]) * feat[i];
+    if (feat[i] != 0.0f) ++nonzeros;
   }
-  rec->AddCounter("feat_dim", static_cast<double>(feat.size()));
-  rec->AddCounter("feat_nonzeros", static_cast<double>(nonzeros));
-  rec->AddCounter("feat_l2", std::sqrt(l2));
+  return {static_cast<double>(n), static_cast<double>(nonzeros),
+          std::sqrt(l2)};
+}
+
+NeuralQueryDrivenEstimator::FeatureStats NeuralQueryDrivenEstimator::FlatStats(
+    const query::Query& q) const {
+  const std::vector<float> feat =
+      encoder_->FlatEncode(q, options_.flat_variant);
+  return StatsOf(feat.data(), static_cast<int>(feat.size()));
 }
 
 Status NeuralQueryDrivenEstimator::UpdateWithQueries(

@@ -31,32 +31,30 @@ class RecurrentEstimatorBase : public NeuralQueryDrivenEstimator {
   }
 
   float ForwardOne(const query::Query& q) override {
-    telemetry::StageTimer::Mark("encode");
     nn::Matrix seq = nn::Matrix::Stack(encoder().SequenceEncode(q));
-    telemetry::StageTimer::Mark("forward");
     nn::Matrix h = cell_->ForwardSequence(seq);
     float pre = head_->Forward(h).Scalar();
     output_ = 1.0f / (1.0f + std::exp(-pre));
     return output_;
   }
 
-  void ForwardBatch(const std::vector<query::Query>& queries,
-                    std::vector<float>* out) override {
+  void ForwardBatch(std::span<const query::Query> queries, float* out,
+                    FeatureStats* stats) const override {
     telemetry::StageTimer::Mark("encode");
     std::vector<nn::Matrix> seqs;
     seqs.reserve(queries.size());
     for (const query::Query& q : queries) {
       seqs.push_back(nn::Matrix::Stack(encoder().SequenceEncode(q)));
     }
+    if (stats != nullptr) *stats = FlatStats(queries[0]);
     telemetry::StageTimer::Mark("forward");
     // One length-packed time-major pass over all sequences, then one
     // multi-row head pass; the sigmoid tail matches ForwardOne per row.
     nn::Matrix hs = cell_->ForwardSequenceBatch(seqs);
-    nn::Matrix pre = head_->Forward(hs);
-    out->resize(queries.size());
+    nn::Matrix pre;
+    head_->InferInto(hs, nn::Activation::kIdentity, &pre);
     for (size_t i = 0; i < queries.size(); ++i) {
-      (*out)[i] =
-          1.0f / (1.0f + std::exp(-pre.At(static_cast<int>(i), 0)));
+      out[i] = 1.0f / (1.0f + std::exp(-pre.At(static_cast<int>(i), 0)));
     }
   }
 
@@ -83,7 +81,7 @@ class RecurrentEstimatorBase : public NeuralQueryDrivenEstimator {
  private:
   std::unique_ptr<Cell> cell_;
   std::unique_ptr<nn::Dense> head_;
-  float output_ = 0;
+  float output_ = 0;  // sigmoid output of the last ForwardOne
 };
 
 class RnnEstimator : public RecurrentEstimatorBase<nn::RnnCell> {

@@ -10,34 +10,21 @@ namespace ce {
 
 namespace {
 
-// Truncates every token to `dim` entries (drops MSCN bitmaps for FCN+Pool).
-std::vector<std::vector<float>> TruncateTokens(
-    const std::vector<std::vector<float>>& tokens, int dim) {
-  std::vector<std::vector<float>> out;
-  out.reserve(tokens.size());
-  for (const auto& t : tokens) {
-    out.emplace_back(t.begin(), t.begin() + dim);
-  }
-  return out;
-}
-
 // Mean-pools each `counts[i]`-row segment of `m` into row i of `out`
 // starting at `col_offset`, replicating nn::ColMean exactly: ascending-row
-// accumulation into a zeroed float buffer, then one multiply by 1/rows —
-// so each pooled row is bit-identical to ColMean over that query's tokens.
+// accumulation into the zeroed output row, then one multiply by 1/rows — so
+// each pooled row is bit-identical to ColMean over that query's tokens.
 void SegmentMeanInto(const nn::Matrix& m, const std::vector<int>& counts,
                      int col_offset, nn::Matrix* out) {
   int off = 0;
-  std::vector<float> acc(static_cast<size_t>(m.cols()));
   for (size_t i = 0; i < counts.size(); ++i) {
-    std::fill(acc.begin(), acc.end(), 0.0f);
+    float* acc = out->RowPtr(static_cast<int>(i)) + col_offset;
     for (int r = 0; r < counts[i]; ++r) {
       const float* row = m.RowPtr(off + r);
       for (int c = 0; c < m.cols(); ++c) acc[c] += row[c];
     }
     const float inv = 1.0f / static_cast<float>(counts[i]);
-    float* orow = out->RowPtr(static_cast<int>(i));
-    for (int c = 0; c < m.cols(); ++c) orow[col_offset + c] = acc[c] * inv;
+    for (int c = 0; c < m.cols(); ++c) acc[c] *= inv;
     off += counts[i];
   }
 }
@@ -63,69 +50,78 @@ void SetBasedEstimator::InitModel(Rng* rng) {
                                     nn::Activation::kSigmoid, rng);
 }
 
-nn::Matrix SetBasedEstimator::PoolSet(
-    nn::Mlp* mlp, const std::vector<std::vector<float>>& set, int* rows_out) {
-  nn::Matrix tokens = nn::Matrix::Stack(set);
-  *rows_out = tokens.rows();
-  return nn::ColMean(mlp->Forward(tokens));
+void SetBasedEstimator::EncodeTokens(std::span<const query::Query> queries,
+                                     TokenBlocks* out) const {
+  const int n = static_cast<int>(queries.size());
+  out->table_counts.resize(n);
+  out->join_counts.resize(n);
+  out->pred_counts.resize(n);
+  int tables = 0, joins = 0, preds = 0;
+  for (int i = 0; i < n; ++i) {
+    const query::MscnCounts c = encoder().MscnTokenCounts(queries[i]);
+    tables += out->table_counts[i] = c.tables;
+    joins += out->join_counts[i] = c.joins;
+    preds += out->pred_counts[i] = c.predicates;
+  }
+  // FCN+Pool's table tokens are the one-hots alone: the leading columns of
+  // MSCN's, without the sample bitmaps.
+  out->tables.Reset(tables,
+                    use_sample_bitmap_
+                        ? encoder().mscn_table_dim()
+                        : static_cast<int>(encoder().schema().tables.size()));
+  out->joins.Reset(joins, encoder().mscn_join_dim());
+  out->preds.Reset(preds, encoder().mscn_pred_dim());
+  int t = 0, j = 0, p = 0;
+  for (int i = 0; i < n; ++i) {
+    encoder().MscnEncodeInto(
+        queries[i], {out->tables.RowPtr(t), out->tables.ld(),
+                     out->joins.RowPtr(j), out->joins.ld(),
+                     out->preds.RowPtr(p), out->preds.ld(),
+                     use_sample_bitmap_});
+    t += out->table_counts[i];
+    j += out->join_counts[i];
+    p += out->pred_counts[i];
+  }
 }
 
 float SetBasedEstimator::ForwardOne(const query::Query& q) {
-  telemetry::StageTimer::Mark("encode");
-  query::MscnSets sets = encoder().MscnEncode(q);
-  telemetry::StageTimer::Mark("forward");
-  std::vector<std::vector<float>> table_tokens =
-      use_sample_bitmap_
-          ? std::move(sets.tables)
-          : TruncateTokens(sets.tables,
-                           static_cast<int>(encoder().schema().tables.size()));
-  nn::Matrix pt = PoolSet(table_mlp_.get(), table_tokens, &table_rows_);
-  nn::Matrix pj = PoolSet(join_mlp_.get(), sets.joins, &join_rows_);
-  nn::Matrix pp = PoolSet(pred_mlp_.get(), sets.predicates, &pred_rows_);
+  TokenBlocks tokens;
+  EncodeTokens({&q, 1}, &tokens);
+  table_rows_ = tokens.tables.rows();
+  join_rows_ = tokens.joins.rows();
+  pred_rows_ = tokens.preds.rows();
+  nn::Matrix pt = nn::ColMean(table_mlp_->Forward(tokens.tables));
+  nn::Matrix pj = nn::ColMean(join_mlp_->Forward(tokens.joins));
+  nn::Matrix pp = nn::ColMean(pred_mlp_->Forward(tokens.preds));
   nn::Matrix concat = nn::ConcatCols({&pt, &pj, &pp});
   return head_->Forward(concat).Scalar();
 }
 
-void SetBasedEstimator::ForwardBatch(const std::vector<query::Query>& queries,
-                                     std::vector<float>* out) {
+void SetBasedEstimator::ForwardBatch(std::span<const query::Query> queries,
+                                     float* out, FeatureStats* stats) const {
+  struct Scratch {
+    TokenBlocks tokens;
+    nn::Matrix tm, jm, pm, pooled, y;
+  };
+  thread_local Scratch s;
   telemetry::StageTimer::Mark("encode");
-  const int n = static_cast<int>(queries.size());
-  const int plain_table_dim =
-      static_cast<int>(encoder().schema().tables.size());
-  // All queries' tokens concatenated per set type; counts delimit each
-  // query's segment. MscnEncode pads empty sets with one all-zero token, so
-  // every segment has >= 1 row.
-  std::vector<std::vector<float>> tables, joins, preds;
-  std::vector<int> tcnt(n), jcnt(n), pcnt(n);
-  for (int i = 0; i < n; ++i) {
-    query::MscnSets sets = encoder().MscnEncode(queries[i]);
-    tcnt[i] = static_cast<int>(sets.tables.size());
-    jcnt[i] = static_cast<int>(sets.joins.size());
-    pcnt[i] = static_cast<int>(sets.predicates.size());
-    if (use_sample_bitmap_) {
-      for (auto& t : sets.tables) tables.push_back(std::move(t));
-    } else {
-      for (const auto& t : sets.tables) {
-        tables.emplace_back(t.begin(), t.begin() + plain_table_dim);
-      }
-    }
-    for (auto& t : sets.joins) joins.push_back(std::move(t));
-    for (auto& t : sets.predicates) preds.push_back(std::move(t));
-  }
+  EncodeTokens(queries, &s.tokens);
+  if (stats != nullptr) *stats = FlatStats(queries[0]);
   telemetry::StageTimer::Mark("forward");
   // One multi-row pass per sub-MLP over every query's tokens at once, then
   // per-query segment pooling, then one multi-row head pass.
-  nn::Matrix tm = table_mlp_->Forward(nn::Matrix::Stack(tables));
-  nn::Matrix jm = join_mlp_->Forward(nn::Matrix::Stack(joins));
-  nn::Matrix pm = pred_mlp_->Forward(nn::Matrix::Stack(preds));
+  table_mlp_->InferInto(s.tokens.tables, &s.tm);
+  join_mlp_->InferInto(s.tokens.joins, &s.jm);
+  pred_mlp_->InferInto(s.tokens.preds, &s.pm);
   const int h = options_.hidden_dim;
-  nn::Matrix pooled(n, 3 * h);
-  SegmentMeanInto(tm, tcnt, 0, &pooled);
-  SegmentMeanInto(jm, jcnt, h, &pooled);
-  SegmentMeanInto(pm, pcnt, 2 * h, &pooled);
-  nn::Matrix y = head_->Forward(pooled);
-  out->resize(queries.size());
-  for (int i = 0; i < n; ++i) (*out)[i] = y.At(i, 0);
+  s.pooled.Reset(static_cast<int>(queries.size()), 3 * h);
+  SegmentMeanInto(s.tm, s.tokens.table_counts, 0, &s.pooled);
+  SegmentMeanInto(s.jm, s.tokens.join_counts, h, &s.pooled);
+  SegmentMeanInto(s.pm, s.tokens.pred_counts, 2 * h, &s.pooled);
+  head_->InferInto(s.pooled, &s.y);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    out[i] = s.y.At(static_cast<int>(i), 0);
+  }
 }
 
 void SetBasedEstimator::BackwardOne(float dpred) {

@@ -28,23 +28,30 @@ class SetBasedEstimator : public NeuralQueryDrivenEstimator {
  protected:
   void InitModel(Rng* rng) override;
   float ForwardOne(const query::Query& q) override;
-  void ForwardBatch(const std::vector<query::Query>& queries,
-                    std::vector<float>* out) override;
+  void ForwardBatch(std::span<const query::Query> queries, float* out,
+                    FeatureStats* stats) const override;
   void BackwardOne(float dpred) override;
   std::vector<nn::Param*> Params() override;
   size_t NumParams() const override;
 
  private:
-  /// Runs one token set through its sub-MLP and mean-pools. Caches the row
-  /// count for the backward pass.
-  nn::Matrix PoolSet(nn::Mlp* mlp, const std::vector<std::vector<float>>& set,
-                     int* rows_out);
+  /// Every query's tokens stacked per set type; `*_counts[i]` rows belong to
+  /// query i.
+  struct TokenBlocks {
+    nn::Matrix tables, joins, preds;
+    std::vector<int> table_counts, join_counts, pred_counts;
+  };
+
+  /// Encodes `queries` into `out`, reusing its allocations.
+  void EncodeTokens(std::span<const query::Query> queries,
+                    TokenBlocks* out) const;
 
   bool use_sample_bitmap_;
   std::unique_ptr<nn::Mlp> table_mlp_;
   std::unique_ptr<nn::Mlp> join_mlp_;
   std::unique_ptr<nn::Mlp> pred_mlp_;
   std::unique_ptr<nn::Mlp> head_;
+  // Token rows of the last ForwardOne, for BackwardOne's mean-pool gradient.
   int table_rows_ = 0, join_rows_ = 0, pred_rows_ = 0;
 };
 

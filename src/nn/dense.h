@@ -15,6 +15,7 @@ namespace nn {
 ///
 /// Forward caches its input; Backward must be called with the gradient of the
 /// most recent Forward. Parameter gradients accumulate until ZeroGrad().
+/// InferInto is the inference pass: the same kernel, no cache, const.
 class Dense {
  public:
   Dense(int in_dim, int out_dim, Rng* rng)
@@ -31,6 +32,12 @@ class Dense {
   Matrix Forward(const Matrix& x, Activation act) {
     input_ = x;
     return MatMulBiasAct(x, weight_.value, bias_.value, act);
+  }
+
+  /// act(x * W + b) into caller-owned `y`, bit-identical to Forward; reads
+  /// only the parameters, so concurrent calls are safe.
+  void InferInto(const Matrix& x, Activation act, Matrix* y) const {
+    MatMulBiasActInto(x, weight_.value, bias_.value, act, y);
   }
 
   /// Returns dL/dx; accumulates dL/dW and dL/db.

@@ -266,11 +266,27 @@ void MatMulRowsSimd(const Matrix& a, const Matrix& b, const Matrix* bias,
     }
   }
   // Tail rows (and the M=1 GEMV shape of per-query inference): one streamed
-  // pass over B with a vectorized j loop.
+  // pass over B with a vectorized j loop, k unrolled by 4 as in the panel so
+  // each C vector makes one load/store round trip per four k-terms; the
+  // chained adds keep the ascending single-accumulator order.
   for (; i < r1; ++i) {
     const float* LCE_RESTRICT arow = a.RowPtr(static_cast<int>(i));
     float* LCE_RESTRICT crow = c->RowPtr(static_cast<int>(i));
-    for (int k = 0; k < K; ++k) {
+    int k = 0;
+    for (; k + 4 <= K; k += 4) {
+      const float* LCE_RESTRICT b0 = bp + static_cast<size_t>(k) * ldb;
+      const float* LCE_RESTRICT b1 = b0 + ldb;
+      const float* LCE_RESTRICT b2 = b1 + ldb;
+      const float* LCE_RESTRICT b3 = b2 + ldb;
+      const float a0 = arow[k], a1 = arow[k + 1], a2 = arow[k + 2],
+                  a3 = arow[k + 3];
+#pragma omp simd
+      for (int j = 0; j < N; ++j) {
+        crow[j] = (((crow[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) +
+                  a3 * b3[j];
+      }
+    }
+    for (; k < K; ++k) {
       const float* LCE_RESTRICT brow = bp + static_cast<size_t>(k) * ldb;
       const float av = arow[k];
 #pragma omp simd
@@ -398,24 +414,24 @@ Matrix TransposePacked(const Matrix& b) {
 // Dispatch.
 // ---------------------------------------------------------------------------
 
-// C = act(A * B + bias); bias may be null, act may be identity.
-Matrix MatMulImpl(const Matrix& a, const Matrix& b, const Matrix* bias,
-                  Activation act) {
-  Matrix c(a.rows(), b.cols());
+// C = act(A * B + bias) into `c`; bias may be null, act may be identity.
+void MatMulImpl(const Matrix& a, const Matrix& b, const Matrix* bias,
+                Activation act, Matrix* c) {
+  c->Reset(a.rows(), b.cols());
   const int64_t grain =
       RowGrain(a.rows(), static_cast<int64_t>(a.cols()) * b.cols());
   if (simd::SimdEnabled()) {
     parallel::ParallelFor(0, a.rows(), grain, [&](int64_t r0, int64_t r1) {
-      MatMulRowsSimd(a, b, bias, act, &c, r0, r1);
+      MatMulRowsSimd(a, b, bias, act, c, r0, r1);
     });
-    return c;
+    return;
   }
   parallel::ParallelFor(0, a.rows(), grain, [&](int64_t r0, int64_t r1) {
-    MatMulRowsNaive(a, b, &c, r0, r1);
+    MatMulRowsNaive(a, b, c, r0, r1);
   });
   // Reference path: the unfused two extra passes.
-  if (bias != nullptr) AddBiasRow(&c, *bias);
-  return ApplyActivation(act, std::move(c));
+  if (bias != nullptr) AddBiasRow(c, *bias);
+  *c = ApplyActivation(act, std::move(*c));
 }
 
 Matrix MatMulTransAImpl(const Matrix& a, const Matrix& b) {
@@ -439,7 +455,9 @@ Matrix MatMulTransBImpl(const Matrix& a, const Matrix& b) {
     // still accumulates ascending k, so this matches the naive dot loop
     // bit for bit while streaming B contiguously.
     Matrix bt = TransposePacked(b);
-    return MatMulImpl(a, bt, nullptr, Activation::kIdentity);
+    Matrix c;
+    MatMulImpl(a, bt, nullptr, Activation::kIdentity, &c);
+    return c;
   }
   Matrix c(a.rows(), b.rows());
   const int64_t grain =
@@ -503,7 +521,9 @@ void Matrix::Scale(float s) {
 
 Result<Matrix> TryMatMul(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) return ShapeError("MatMul", a, b);
-  return MatMulImpl(a, b, nullptr, Activation::kIdentity);
+  Matrix c;
+  MatMulImpl(a, b, nullptr, Activation::kIdentity, &c);
+  return c;
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -513,17 +533,26 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   // batch-1 training micro-GEMMs don't drown in span overhead.
   telemetry::KernelSpan span(
       "MatMul", int64_t{a.rows()} * a.cols() * b.cols());
-  return MatMulImpl(a, b, nullptr, Activation::kIdentity);
+  Matrix c;
+  MatMulImpl(a, b, nullptr, Activation::kIdentity, &c);
+  return c;
 }
 
 Matrix MatMulBiasAct(const Matrix& a, const Matrix& b, const Matrix& bias,
                      Activation act) {
+  Matrix c;
+  MatMulBiasActInto(a, b, bias, act, &c);
+  return c;
+}
+
+void MatMulBiasActInto(const Matrix& a, const Matrix& b, const Matrix& bias,
+                       Activation act, Matrix* c) {
   if (a.cols() != b.rows()) LCE_CHECK_OK(ShapeError("MatMulBiasAct", a, b));
+  LCE_CHECK(c != &a && c != &b && c != &bias);
   telemetry::KernelSpan span(
       "MatMulBiasAct", int64_t{a.rows()} * a.cols() * b.cols());
-  if (bias.empty()) return MatMulImpl(a, b, nullptr, act);
-  LCE_CHECK(bias.rows() == 1 && bias.cols() == b.cols());
-  return MatMulImpl(a, b, &bias, act);
+  if (!bias.empty()) LCE_CHECK(bias.rows() == 1 && bias.cols() == b.cols());
+  MatMulImpl(a, b, bias.empty() ? nullptr : &bias, act, c);
 }
 
 Result<Matrix> TryMatMulTransA(const Matrix& a, const Matrix& b) {

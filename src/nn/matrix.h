@@ -152,6 +152,18 @@ class Matrix {
   float* raw() { return data_.data(); }
   const float* raw() const { return data_.data(); }
 
+  /// Reshapes to rows x cols with every float zero (padding included),
+  /// reusing the allocation when it is large enough. The *Into kernels call
+  /// it on their output, so a scratch matrix that last held a larger or
+  /// dirtier result is indistinguishable from a fresh one.
+  void Reset(int rows, int cols) {
+    LCE_CHECK(rows >= 0 && cols >= 0);
+    rows_ = rows;
+    cols_ = cols;
+    ld_ = PaddedLd(cols);
+    data_.assign(static_cast<size_t>(rows) * ld_, 0.0f);
+  }
+
   /// Fills the logical region; padding stays zero.
   void Fill(float v) {
     for (int r = 0; r < rows_; ++r) {
@@ -214,6 +226,14 @@ Result<Matrix> TryMatMulTransB(const Matrix& a, const Matrix& b);
 /// the activation — the same operation sequence the unfused calls perform.
 Matrix MatMulBiasAct(const Matrix& a, const Matrix& b, const Matrix& bias,
                      Activation act);
+
+/// MatMulBiasAct into caller-owned `c` (Reset to a.rows() x b.cols() first,
+/// so its old shape and contents never matter): the allocation-free form
+/// behind every inference pass, and the kernel's single entry point —
+/// MatMulBiasAct is this into a fresh matrix. `c` must not alias `a`, `b`
+/// or `bias`.
+void MatMulBiasActInto(const Matrix& a, const Matrix& b, const Matrix& bias,
+                       Activation act, Matrix* c);
 
 /// y = x + broadcast(bias row) for every row of x (in place).
 void AddBiasRow(Matrix* x, const Matrix& bias);

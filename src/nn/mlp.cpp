@@ -22,6 +22,20 @@ Matrix Mlp::Forward(const Matrix& x) {
   return cur;
 }
 
+void Mlp::InferInto(const Matrix& x, Matrix* out) const {
+  // Hidden layers ping-pong between two buffers; only the last layer writes
+  // `out`. Private to this function, so no caller's matrix can alias them.
+  thread_local Matrix hidden[2];
+  const Matrix* cur = &x;
+  const size_t last = layers_.size() - 1;
+  for (size_t i = 0; i < last; ++i) {
+    Matrix* next = &hidden[i % 2];
+    layers_[i]->InferInto(*cur, acts_[i], next);
+    cur = next;
+  }
+  layers_[last]->InferInto(*cur, acts_[last], out);
+}
+
 Matrix Mlp::Backward(const Matrix& dout) {
   LCE_CHECK_MSG(outputs_.size() == layers_.size(),
                 "Backward without a matching Forward");

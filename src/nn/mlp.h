@@ -15,6 +15,7 @@ namespace nn {
 /// A stack of Dense layers with per-layer activations. Hidden layers use
 /// `hidden_act`; the output layer uses `output_act`. Forward caches per-layer
 /// outputs; Backward walks them in reverse. One outstanding Forward at a time.
+/// InferInto is the const inference pass and may run on many threads at once.
 class Mlp {
  public:
   /// `dims` = {in, h1, ..., out}; requires at least {in, out}.
@@ -22,6 +23,12 @@ class Mlp {
       Activation output_act, Rng* rng);
 
   Matrix Forward(const Matrix& x);
+
+  /// The network's output for `x` into caller-owned `out`, bit-identical to
+  /// Forward. Hidden activations live in per-thread scratch that keeps its
+  /// capacity across calls, so a warm call allocates nothing. `out` must not
+  /// alias `x`.
+  void InferInto(const Matrix& x, Matrix* out) const;
 
   /// dL/dx of the most recent Forward; accumulates parameter gradients.
   Matrix Backward(const Matrix& dout);

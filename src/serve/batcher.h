@@ -3,11 +3,12 @@
 // Concurrent clients each submit one query and block for its answer; the
 // batcher coalesces whatever is waiting into one EstimateBatch() call so the
 // SIMD kernel layer sees N×d matrices instead of N separate 1×d forwards.
-// EstimationService routes only estimators that are not ThreadSafeEstimate()
-// here — the NN families, whose forwards are bound by streaming the layer
-// weights (a batch pays that stream once) and reuse activation caches (so
-// flushes are serialized). Thread-safe models answer on the caller's thread
-// and never see the batcher or its knobs.
+// EstimationService routes two kinds of model here: thread-safe models
+// wider than its inline limit that have a batch pass — wide NNs, whose
+// forwards are bound by streaming the layer weights, so a batch pays that
+// stream once — and models that are not ThreadSafeEstimate(). Flushes are
+// serialized per model. Every other model answers on the caller's thread
+// and never sees the batcher or its knobs.
 // Correctness rests on the kernel bit-identity contract (DESIGN.md §10): a
 // batched forward is bit-identical per row to the per-query loop, so
 // batching changes latency, never answers.

@@ -4,6 +4,7 @@
 // input, at every thread count, for every shape — including degenerate ones
 // (1xN, Nx1, odd tails past the 4-row panels and 16-float padding).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -135,6 +136,48 @@ TEST(KernelEquivalenceTest, FusedBiasActivationMatchesUnfusedBitwise) {
       // And the fused op itself across paths.
       ExpectBitIdenticalAcrossPaths(
           "MatMulBiasAct", [&] { return MatMulBiasAct(a, b, bias, act); });
+    }
+  }
+}
+
+// The allocation-free form must not care what its output buffer held: a
+// scratch matrix that last carried a larger result, with every float
+// (padding included) then overwritten by NaN, must come out bit-identical to
+// a fresh MatMulBiasAct, with its padding back to zero. On both paths.
+TEST(KernelEquivalenceTest, IntoReusedDirtyBufferMatchesFreshBitwise) {
+  KernelEnvGuard guard;
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  for (int simd_on : {0, 1}) {
+    simd::SetSimdEnabledForTesting(simd_on);
+    for (const Shape& s : kShapes) {
+      for (Activation act : {Activation::kIdentity, Activation::kRelu,
+                             Activation::kSigmoid}) {
+        Rng rng(s.m * 53 + s.k * 29 + s.n * 11 + static_cast<int>(act));
+        Matrix a = RandomMatrix(s.m, s.k, &rng);
+        Matrix b = RandomMatrix(s.k, s.n, &rng);
+        Matrix bias = RandomMatrix(1, s.n, &rng);
+        Matrix fresh = MatMulBiasAct(a, b, bias, act);
+
+        Matrix reused;
+        MatMulBiasActInto(RandomMatrix(s.m + 5, 40, &rng),
+                          RandomMatrix(40, s.n + 17, &rng), Matrix(), act,
+                          &reused);
+        ASSERT_GT(reused.padded_size(), fresh.padded_size());
+        std::fill(reused.raw(), reused.raw() + reused.padded_size(), kNan);
+        MatMulBiasActInto(a, b, bias, act, &reused);
+
+        ASSERT_EQ(reused.rows(), fresh.rows());
+        ASSERT_EQ(reused.cols(), fresh.cols());
+        ASSERT_EQ(reused.ld(), fresh.ld());
+        EXPECT_EQ(Bits(reused), Bits(fresh))
+            << s.m << "x" << s.k << "x" << s.n << " simd=" << simd_on;
+        for (int r = 0; r < reused.rows(); ++r) {
+          for (int c = reused.cols(); c < reused.ld(); ++c) {
+            ASSERT_EQ(reused.RowPtr(r)[c], 0.0f)
+                << "padding (" << r << ", " << c << ") simd=" << simd_on;
+          }
+        }
+      }
     }
   }
 }
