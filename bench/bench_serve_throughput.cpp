@@ -10,9 +10,10 @@
 // headline quantity is the batched-over-unbatched QPS ratio at 4 clients,
 // which should reach >= 3x for FCN or MSCN.
 //
-// Only the NN families are batched. LW-XGB declares ThreadSafeEstimate(), so
-// the service answers it inline on the client's thread in both arms: its
-// off and on arms are the same path, its batch_speedup_x is ~1 by
+// Only NN models over the service's inline limit (1 MiB of parameters) are
+// batched, which the default served size (hidden 1024) is. LW-XGB is
+// answered inline on the client's thread in both arms at any size: its off
+// and on arms are the same path, its batch_speedup_x is ~1 by
 // construction, and its mean_batch is exactly 1 (CI asserts that as proof
 // the inline route is taken).
 //

@@ -91,9 +91,15 @@ class Estimator {
   /// multiple threads after Build(): no per-call mutable state, no internal
   /// Rng. The evaluation harness then scores test queries in parallel;
   /// per-query estimates are unchanged, so accuracy reports stay identical
-  /// at every thread count. Defaults to false (neural forward passes cache
-  /// activations; samplers draw from a shared Rng).
+  /// at every thread count. Defaults to false (samplers draw from a shared
+  /// Rng).
   virtual bool ThreadSafeEstimate() const { return false; }
+
+  /// True when inference streams every parameter once per call (dense NN
+  /// layers), so one EstimateBatch() over coalesced requests streams them
+  /// once for all of them. The estimation service batches such a model
+  /// once it is too wide to answer inline (serve::EstimationService).
+  virtual bool WeightStreamBound() const { return false; }
 
   /// Approximate size of the built estimator in bytes (statistics, samples,
   /// or model parameters) — the footprint column of experiment R2.

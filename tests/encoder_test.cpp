@@ -18,6 +18,31 @@ class EncoderTest : public ::testing::Test {
     encoder_ = std::make_unique<QueryEncoder>(db_.get(),
                                               QueryEncoder::Options{}, 7);
   }
+  /// One query's MSCN sets, each a row-major block of `*_rows` tokens.
+  struct Sets {
+    MscnCounts rows;
+    std::vector<float> tables, joins, predicates;
+  };
+
+  /// MscnEncodeInto `q` into fresh zeroed blocks of the documented widths;
+  /// without `table_bitmaps` a table token is its one-hot columns alone.
+  Sets Encode(const Query& q, bool table_bitmaps = true) const {
+    const int tdim = table_bitmaps ? encoder_->mscn_table_dim()
+                                   : db_->num_tables();
+    const int jdim = encoder_->mscn_join_dim();
+    const int pdim = encoder_->mscn_pred_dim();
+    Sets sets;
+    sets.rows = encoder_->MscnTokenCounts(q);
+    sets.tables.assign(static_cast<size_t>(sets.rows.tables) * tdim, 0.0f);
+    sets.joins.assign(static_cast<size_t>(sets.rows.joins) * jdim, 0.0f);
+    sets.predicates.assign(static_cast<size_t>(sets.rows.predicates) * pdim,
+                           0.0f);
+    encoder_->MscnEncodeInto(
+        q, {sets.tables.data(), tdim, sets.joins.data(), jdim,
+            sets.predicates.data(), pdim, table_bitmaps});
+    return sets;
+  }
+
   std::unique_ptr<storage::Database> db_;
   std::unique_ptr<QueryEncoder> encoder_;
 };
@@ -92,27 +117,33 @@ TEST_F(EncoderTest, MscnSetsHaveDocumentedShapes) {
   q.tables = {0, 1, 2};
   q.join_edges = {0, 1};
   q.predicates = {{{0, 1}, 0, 2}};
-  MscnSets sets = encoder_->MscnEncode(q);
-  EXPECT_EQ(sets.tables.size(), 3u);
-  EXPECT_EQ(sets.joins.size(), 2u);
-  EXPECT_EQ(sets.predicates.size(), 1u);
-  for (const auto& t : sets.tables) {
-    EXPECT_EQ(t.size(), static_cast<size_t>(encoder_->mscn_table_dim()));
+  Sets sets = Encode(q);
+  EXPECT_EQ(sets.rows.tables, 3);
+  EXPECT_EQ(sets.rows.joins, 2);
+  EXPECT_EQ(sets.rows.predicates, 1);
+  // One-hots land in each token's own row of its set.
+  const int tdim = encoder_->mscn_table_dim();
+  for (int r = 0; r < 3; ++r) {
+    for (int t = 0; t < db_->num_tables(); ++t) {
+      EXPECT_FLOAT_EQ(sets.tables[r * tdim + t], t == q.tables[r] ? 1 : 0);
+    }
   }
-  EXPECT_EQ(sets.joins[0].size(),
-            static_cast<size_t>(encoder_->mscn_join_dim()));
-  EXPECT_EQ(sets.predicates[0].size(),
-            static_cast<size_t>(encoder_->mscn_pred_dim()));
+  const int jdim = encoder_->mscn_join_dim();
+  EXPECT_FLOAT_EQ(sets.joins[0 * jdim + 0], 1.0f);
+  EXPECT_FLOAT_EQ(sets.joins[1 * jdim + 1], 1.0f);
+  EXPECT_FLOAT_EQ(sets.predicates[db_->schema().GlobalColumnIndex(
+                      "title", "kind_id")],
+                  1.0f);
 }
 
 TEST_F(EncoderTest, MscnEmptySetsGetZeroToken) {
   Query q;
   q.tables = {0};
-  MscnSets sets = encoder_->MscnEncode(q);
-  ASSERT_EQ(sets.joins.size(), 1u);
-  ASSERT_EQ(sets.predicates.size(), 1u);
-  for (float v : sets.joins[0]) EXPECT_FLOAT_EQ(v, 0.0f);
-  for (float v : sets.predicates[0]) EXPECT_FLOAT_EQ(v, 0.0f);
+  Sets sets = Encode(q);
+  ASSERT_EQ(sets.rows.joins, 1);
+  ASSERT_EQ(sets.rows.predicates, 1);
+  for (float v : sets.joins) EXPECT_FLOAT_EQ(v, 0.0f);
+  for (float v : sets.predicates) EXPECT_FLOAT_EQ(v, 0.0f);
 }
 
 TEST_F(EncoderTest, MscnBitmapTracksSelectivity) {
@@ -120,23 +151,44 @@ TEST_F(EncoderTest, MscnBitmapTracksSelectivity) {
   // leaves almost no bits set.
   Query open;
   open.tables = {0};
-  MscnSets open_sets = encoder_->MscnEncode(open);
+  Sets open_sets = Encode(open);
   int bitmap_base = db_->num_tables();
   int sample = encoder_->mscn_table_dim() - bitmap_base;
   double open_bits = 0;
   for (int s = 0; s < sample; ++s) {
-    open_bits += open_sets.tables[0][bitmap_base + s];
+    open_bits += open_sets.tables[bitmap_base + s];
   }
   EXPECT_DOUBLE_EQ(open_bits, sample);
 
   Query narrow = open;
   narrow.predicates = {{{0, 2}, -1000000, -999999}};  // empty range
-  MscnSets narrow_sets = encoder_->MscnEncode(narrow);
+  Sets narrow_sets = Encode(narrow);
   double narrow_bits = 0;
   for (int s = 0; s < sample; ++s) {
-    narrow_bits += narrow_sets.tables[0][bitmap_base + s];
+    narrow_bits += narrow_sets.tables[bitmap_base + s];
   }
   EXPECT_DOUBLE_EQ(narrow_bits, 0);
+}
+
+// Without bitmaps (FCN+Pool's input) each table token is the leading
+// one-hot columns of the MSCN token; the join and predicate sets match.
+TEST_F(EncoderTest, MscnWithoutBitmapsKeepsOneHotsOnly) {
+  Query q;
+  q.tables = {0, 1};
+  q.join_edges = {0};
+  q.predicates = {{{0, 1}, 0, 2}, {{1, 1}, 5, 9}};
+  Sets full = Encode(q);
+  Sets bare = Encode(q, /*table_bitmaps=*/false);
+  ASSERT_EQ(bare.rows.tables, full.rows.tables);
+  const int tables = db_->num_tables();
+  const int tdim = encoder_->mscn_table_dim();
+  for (int r = 0; r < full.rows.tables; ++r) {
+    for (int c = 0; c < tables; ++c) {
+      EXPECT_EQ(bare.tables[r * tables + c], full.tables[r * tdim + c]);
+    }
+  }
+  EXPECT_EQ(bare.joins, full.joins);
+  EXPECT_EQ(bare.predicates, full.predicates);
 }
 
 TEST_F(EncoderTest, SequenceHasOneTokenPerItem) {

@@ -1,11 +1,11 @@
 // Estimation service: registry versioning and atomic swap, micro-batcher
 // flush semantics (bypass, coalescing, max-batch cap, adaptive single-client
 // fast path), and the SQL front end end-to-end — including that serving a
-// query through the batched path (FCN) and the inline path (thread-safe
-// LW-XGB, also across hot swaps) answers bit-identically to calling the
-// estimator directly, that registering new names under concurrent traffic
-// never crashes a request, and that no route answers a non-finite or sub-1
-// estimate.
+// query with batching on (FCN) and on the inline path (thread-safe LW-XGB,
+// also across hot swaps) answers bit-identically to calling the estimator
+// directly, that only wide weight-stream-bound models take the batched
+// route, that registering new names under concurrent traffic never crashes
+// a request, and that no route answers a non-finite or sub-1 estimate.
 
 #include <atomic>
 #include <cmath>
@@ -52,6 +52,30 @@ class ThreadSafeConstEstimator : public ConstEstimator {
  public:
   using ConstEstimator::ConstEstimator;
   bool ThreadSafeEstimate() const override { return true; }
+};
+
+/// Thread-safe constant model with a batch pass, a chosen parameter size
+/// and weight-stream flag; counts which pass answered.
+class RoutedConstEstimator : public ThreadSafeConstEstimator {
+ public:
+  RoutedConstEstimator(uint64_t size_bytes, bool weight_stream_bound)
+      : ThreadSafeConstEstimator(3.0),
+        size_bytes_(size_bytes),
+        weight_stream_bound_(weight_stream_bound) {}
+  std::vector<double> EstimateBatch(
+      const std::vector<query::Query>& queries) override {
+    batch_calls++;
+    return ConstEstimator::EstimateBatch(queries);
+  }
+  bool HasBatchEstimate() const override { return true; }
+  bool WeightStreamBound() const override { return weight_stream_bound_; }
+  uint64_t SizeBytes() const override { return size_bytes_; }
+
+  std::atomic<int> batch_calls{0};
+
+ private:
+  uint64_t size_bytes_;
+  bool weight_stream_bound_;
 };
 
 query::Query OneTableQuery() {
@@ -194,6 +218,29 @@ TEST_F(ServiceTest, AnswersSqlWithModelAndVersion) {
   EXPECT_GE(resp.value().batch_size, 1);
 }
 
+// Thread-safe models answer inline at any size unless they are
+// weight-stream bound (the NN families); those batch above 1 MiB.
+TEST_F(ServiceTest, OnlyWideWeightStreamBoundModelsBatch) {
+  constexpr uint64_t kMiB = uint64_t{1} << 20;
+  struct Case {
+    uint64_t size;
+    bool weight_stream_bound;
+    bool batched;
+  };
+  for (const Case& c : {Case{kMiB, true, false}, Case{kMiB + 1, true, true},
+                        Case{64 * kMiB, false, false}}) {
+    auto model =
+        std::make_shared<RoutedConstEstimator>(c.size, c.weight_stream_bound);
+    EstimationService service(db_.get());
+    service.RegisterModel("m", model);
+    auto resp = service.Estimate("m", OneTableQuery());
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp.value().estimate, 3.0);
+    EXPECT_EQ(model->batch_calls.load() > 0, c.batched)
+        << c.size << " bytes, weight-stream bound " << c.weight_stream_bound;
+  }
+}
+
 TEST_F(ServiceTest, SwappedModelServesNextRequestAtNewVersion) {
   EstimationService service(db_.get());
   service.RegisterModel("fcn", std::make_shared<ConstEstimator>(1.0));
@@ -292,8 +339,10 @@ TEST_F(ServiceTest, ExplainCarriesDiagnosticsAndMatchesEstimate) {
   EXPECT_EQ(resp.value().record.num_predicates, 1);
 }
 
-// End-to-end bit-identity: many clients hammering the batched service get
-// exactly the answers a twin estimator gives query by query.
+// End-to-end bit-identity: many clients hammering the service with batching
+// on get exactly the answers a twin estimator gives query by query. An FCN
+// this narrow answers on the caller's thread; nn_inference_test checks the
+// batched route with a model over the inline limit.
 TEST_F(ServiceTest, BatchedServingIsBitIdenticalToDirectCalls) {
   workload::WorkloadOptions wopts;
   wopts.max_joins = 2;
