@@ -35,11 +35,32 @@ Status LwXgbEstimator::Build(
   return Status::OK();
 }
 
+namespace {
+
+// This thread's encoding buffer, resized to `floats` and kept: every request
+// is answered from rows that FlatEncodeInto fills in place (it writes every
+// float), so a warm request allocates no encoding.
+std::vector<float>& EncodeScratch(size_t floats) {
+  thread_local std::vector<float> scratch;
+  scratch.resize(floats);
+  return scratch;
+}
+
+}  // namespace
+
+const std::vector<float>& LwXgbEstimator::EncodeRow(
+    const query::Query& q) const {
+  std::vector<float>& row =
+      EncodeScratch(encoder_->flat_dim_for(options_.flat_variant));
+  encoder_->FlatEncodeInto(q, options_.flat_variant, row.data());
+  return row;
+}
+
 double LwXgbEstimator::EstimateCardinality(const query::Query& q) {
   LCE_CHECK_MSG(model_ != nullptr, "Build() before EstimateCardinality()");
   telemetry::StageTimer stages([this] { return Name(); });
   stages.Stage("encode");
-  std::vector<float> row = encoder_->FlatEncode(q, options_.flat_variant);
+  const std::vector<float>& row = EncodeRow(q);
   stages.Stage("traverse");
   float y = model_->Predict(row);
   stages.Stage("postprocess");
@@ -54,18 +75,22 @@ std::vector<double> LwXgbEstimator::EstimateBatch(
   telemetry::StageTimer stages([this] { return Name(); },
                                static_cast<uint64_t>(queries.size()));
   stages.Stage("encode");
-  std::vector<std::vector<float>> rows;
-  rows.reserve(queries.size());
-  for (const query::Query& q : queries) {
-    rows.push_back(encoder_->FlatEncode(q, options_.flat_variant));
+  const size_t n = queries.size();
+  const size_t dim = encoder_->flat_dim_for(options_.flat_variant);
+  std::vector<float>& rows = EncodeScratch(n * dim);
+  for (size_t i = 0; i < n; ++i) {
+    encoder_->FlatEncodeInto(queries[i], options_.flat_variant,
+                             rows.data() + i * dim);
   }
   stages.Stage("traverse");
-  std::vector<float> preds = model_->PredictBatch(rows);
+  thread_local std::vector<float> preds;
+  preds.resize(n);
+  model_->PredictPackedInto(rows.data(), static_cast<int64_t>(n),
+                            preds.data());
   stages.Stage("postprocess");
-  std::vector<double> out;
-  out.reserve(preds.size());
-  for (float y : preds) {
-    out.push_back(encoder_->DenormalizeLog(std::clamp(y, 0.0f, 1.0f)));
+  std::vector<double> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = encoder_->DenormalizeLog(std::clamp(preds[i], 0.0f, 1.0f));
   }
   return out;
 }
@@ -82,7 +107,7 @@ double LwXgbEstimator::EstimateWithDiagnostics(const query::Query& q,
   }
   telemetry::StageTimer stages([this] { return Name(); });
   stages.Stage("encode");
-  std::vector<float> row = encoder_->FlatEncode(q, options_.flat_variant);
+  const std::vector<float>& row = EncodeRow(q);
   stages.Stage("traverse");
   gbdt::GradientBoosting::PredictStats stats;
   float y = model_->PredictWithStats(row, &stats);

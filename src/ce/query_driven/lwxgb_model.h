@@ -47,6 +47,10 @@ class LwXgbEstimator : public Estimator {
   void DescribeModel(telemetry::ModelCard* card) const override;
 
  private:
+  /// `q`'s flat encoding in this thread's reused row (valid until the
+  /// thread's next encode).
+  const std::vector<float>& EncodeRow(const query::Query& q) const;
+
   Options options_;
   std::unique_ptr<query::QueryEncoder> encoder_;
   std::unique_ptr<gbdt::GradientBoosting> model_;

@@ -30,12 +30,20 @@ class RecurrentEstimatorBase : public NeuralQueryDrivenEstimator {
     head_ = std::make_unique<nn::Dense>(options_.hidden_dim, 1, rng);
   }
 
-  float ForwardOne(const query::Query& q) override {
-    nn::Matrix seq = nn::Matrix::Stack(encoder().SequenceEncode(q));
-    nn::Matrix h = cell_->ForwardSequence(seq);
-    float pre = head_->Forward(h).Scalar();
-    output_ = 1.0f / (1.0f + std::exp(-pre));
-    return output_;
+  void TrainStep(std::span<const query::Query* const> batch,
+                 const LossGrad& loss_grad) override {
+    // Per-sample BPTT: each query's forward, loss gradient and backward in
+    // turn.
+    for (size_t i = 0; i < batch.size(); ++i) {
+      nn::Matrix seq = nn::Matrix::Stack(encoder().SequenceEncode(*batch[i]));
+      nn::Matrix h = cell_->ForwardSequence(seq);
+      const float pre = head_->Forward(h).Scalar();
+      const float out = 1.0f / (1.0f + std::exp(-pre));
+      nn::Matrix g(1, 1);
+      // Through the sigmoid.
+      g.At(0, 0) = loss_grad(static_cast<int>(i), out) * out * (1.0f - out);
+      cell_->BackwardSequence(head_->Backward(g));
+    }
   }
 
   void ForwardBatch(std::span<const query::Query> queries, float* out,
@@ -49,20 +57,13 @@ class RecurrentEstimatorBase : public NeuralQueryDrivenEstimator {
     if (stats != nullptr) *stats = FlatStats(queries[0]);
     telemetry::StageTimer::Mark("forward");
     // One length-packed time-major pass over all sequences, then one
-    // multi-row head pass; the sigmoid tail matches ForwardOne per row.
+    // multi-row head pass; the sigmoid tail matches TrainStep's per row.
     nn::Matrix hs = cell_->ForwardSequenceBatch(seqs);
     nn::Matrix pre;
     head_->InferInto(hs, nn::Activation::kIdentity, &pre);
     for (size_t i = 0; i < queries.size(); ++i) {
       out[i] = 1.0f / (1.0f + std::exp(-pre.At(static_cast<int>(i), 0)));
     }
-  }
-
-  void BackwardOne(float dpred) override {
-    nn::Matrix g(1, 1);
-    g.At(0, 0) = dpred * output_ * (1.0f - output_);  // through the sigmoid
-    nn::Matrix dh = head_->Backward(g);
-    cell_->BackwardSequence(dh);
   }
 
   std::vector<nn::Param*> Params() override {
@@ -81,7 +82,6 @@ class RecurrentEstimatorBase : public NeuralQueryDrivenEstimator {
  private:
   std::unique_ptr<Cell> cell_;
   std::unique_ptr<nn::Dense> head_;
-  float output_ = 0;  // sigmoid output of the last ForwardOne
 };
 
 class RnnEstimator : public RecurrentEstimatorBase<nn::RnnCell> {

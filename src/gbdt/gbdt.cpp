@@ -308,33 +308,42 @@ float GradientBoosting::Predict(const std::vector<float>& row) const {
 std::vector<float> GradientBoosting::PredictBatch(
     const std::vector<std::vector<float>>& rows) const {
   LCE_CHECK_MSG(fitted_, "Fit() before PredictBatch()");
+  std::vector<float> out(rows.size());
+  if (rows.empty()) return out;
+  const std::vector<float> x = PackRows(rows, binner_.num_features());
+  PredictPackedInto(x.data(), static_cast<int64_t>(rows.size()), out.data());
+  return out;
+}
+
+void GradientBoosting::PredictPackedInto(const float* x, int64_t n,
+                                         float* out) const {
+  LCE_CHECK_MSG(fitted_, "Fit() before PredictBatch()");
   // Kernel span for the profiler: the batched forest traversal is the GBDT
   // inference hot path. Work ≈ node visits (rows × trees × depth),
   // thresholded so single-row per-query calls don't pay span overhead on a
   // microsecond traversal.
   telemetry::KernelSpan span(
       "FlatForest::PredictBatch",
-      static_cast<int64_t>(rows.size()) * static_cast<int64_t>(num_trees()) *
-          options_.tree.max_depth);
-  std::vector<float> out(rows.size(), base_score_);
-  if (rows.empty()) return out;
-  const int64_t n = static_cast<int64_t>(rows.size());
-  if (!simd::SimdEnabled()) {
-    parallel::ParallelFor(0, n, kRowGrain, [&](int64_t b, int64_t e) {
-      for (int64_t i = b; i < e; ++i) out[i] = Predict(rows[i]);
-    });
-    return out;
-  }
-  // Pack every row into one contiguous matrix, then traverse the forest
-  // level-synchronously over row blocks. Per row the accumulation order is
-  // base + lr*tree0 + lr*tree1 + ... — identical to Predict().
+      n * static_cast<int64_t>(num_trees()) * options_.tree.max_depth);
   const int num_features = binner_.num_features();
-  const std::vector<float> x = PackRows(rows, num_features);
+  if (!simd::SimdEnabled()) {
+    // The reference path: Predict()'s walk, row by row.
+    parallel::ParallelFor(0, n, kRowGrain, [&](int64_t b, int64_t e) {
+      for (int64_t i = b; i < e; ++i) {
+        out[i] = flat_.PredictRow(x + i * num_features, base_score_,
+                                  options_.learning_rate);
+      }
+    });
+    return;
+  }
+  // Traverse the forest level-synchronously over row blocks. Per row the
+  // accumulation order is base + lr*tree0 + lr*tree1 + ... — identical to
+  // Predict().
+  std::fill(out, out + n, base_score_);
   parallel::ParallelFor(0, n, kRowGrain, [&](int64_t b, int64_t e) {
-    flat_.Accumulate(x.data(), num_features, b, e, 0, flat_.num_trees(),
-                     options_.learning_rate, out.data() + b);
+    flat_.Accumulate(x, num_features, b, e, 0, flat_.num_trees(),
+                     options_.learning_rate, out + b);
   });
-  return out;
 }
 
 float GradientBoosting::PredictWithStats(const std::vector<float>& row,

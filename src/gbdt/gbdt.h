@@ -96,13 +96,17 @@ class GradientBoosting {
 
   float Predict(const std::vector<float>& row) const;
 
-  /// Predictions for many rows at once. With LCE_SIMD on (default) this
-  /// packs all rows into one contiguous matrix and runs the row-blocked
-  /// FlatForest::Accumulate in parallel; otherwise it falls back to per-row
-  /// Predict(). Both paths are bit-identical to calling Predict() on each
+  /// Predictions for many rows at once: packs the rows back to back and
+  /// calls PredictPackedInto. With LCE_SIMD on (default) that runs the
+  /// row-blocked FlatForest::Accumulate in parallel; otherwise Predict()'s
+  /// walk per row. Both paths are bit-identical to calling Predict() on each
   /// row (same per-row accumulation order) at any thread count.
   std::vector<float> PredictBatch(
       const std::vector<std::vector<float>>& rows) const;
+
+  /// PredictBatch over `n` rows packed back to back (num_features floats
+  /// each) into `out`: the same paths and bits, with no copy of the rows.
+  void PredictPackedInto(const float* x, int64_t n, float* out) const;
 
   /// Traversal statistics of one Predict() call; fuels explain records.
   struct PredictStats {

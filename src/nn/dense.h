@@ -15,7 +15,9 @@ namespace nn {
 ///
 /// Forward caches its input; Backward must be called with the gradient of the
 /// most recent Forward. Parameter gradients accumulate until ZeroGrad().
-/// InferInto is the inference pass: the same kernel, no cache, const.
+/// InferInto is the forward kernel itself: no cache, const. BackwardInto is
+/// the backward with the input passed in, for owners (Mlp) that keep the
+/// training caches themselves.
 class Dense {
  public:
   Dense(int in_dim, int out_dim, Rng* rng)
@@ -24,30 +26,39 @@ class Dense {
                               rng)),
         bias_(Matrix::Zeros(1, out_dim)) {}
 
-  Matrix Forward(const Matrix& x) { return Forward(x, Activation::kIdentity); }
-
-  /// y = act(x * W + b) via the fused kernel epilogue (matrix.cpp): bias and
-  /// activation apply while each output row is cache-hot instead of in two
-  /// further passes. Bit-identical to Forward + ApplyActivation.
-  Matrix Forward(const Matrix& x, Activation act) {
+  /// x * W + b via the fused kernel (matrix.cpp); caches `x` for Backward.
+  Matrix Forward(const Matrix& x) {
     input_ = x;
-    return MatMulBiasAct(x, weight_.value, bias_.value, act);
+    return MatMulBiasAct(x, weight_.value, bias_.value, Activation::kIdentity);
   }
 
-  /// act(x * W + b) into caller-owned `y`, bit-identical to Forward; reads
-  /// only the parameters, so concurrent calls are safe.
+  /// act(x * W + b) into caller-owned `y`: bias and activation apply in the
+  /// kernel epilogue while each output row is cache-hot. Reads only the
+  /// parameters, so concurrent calls are safe.
   void InferInto(const Matrix& x, Activation act, Matrix* y) const {
     MatMulBiasActInto(x, weight_.value, bias_.value, act, y);
   }
 
-  /// Returns dL/dx; accumulates dL/dW and dL/db.
+  /// Returns dL/dx of the most recent Forward; accumulates dL/dW and dL/db.
   Matrix Backward(const Matrix& dy) {
-    weight_.grad.Add(MatMulTransA(input_, dy));
+    Matrix dx;
+    BackwardInto(input_, dy, {}, &dx);
+    return dx;
+  }
+
+  /// Backward for input `x` and output gradient `dy` (stacked rows;
+  /// `segments` as in MatMulTransAAccumulate, empty = one segment):
+  /// accumulates dL/dW one segment at a time and dL/db row by row in order,
+  /// and writes dL/dx into `dx` unless it is null.
+  void BackwardInto(const Matrix& x, const Matrix& dy,
+                    std::span<const int> segments, Matrix* dx) {
+    MatMulTransAAccumulate(x, dy, segments, &weight_.grad);
+    float* bias_grad = bias_.grad.RowPtr(0);
     for (int r = 0; r < dy.rows(); ++r) {
       const float* row = dy.RowPtr(r);
-      for (int c = 0; c < dy.cols(); ++c) bias_.grad.At(0, c) += row[c];
+      for (int c = 0; c < dy.cols(); ++c) bias_grad[c] += row[c];
     }
-    return MatMulTransB(dy, weight_.value);
+    if (dx != nullptr) MatMulTransBInto(dy, weight_.value, dx);
   }
 
   std::vector<Param*> Params() { return {&weight_, &bias_}; }

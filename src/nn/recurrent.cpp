@@ -110,10 +110,10 @@ void RnnCell::BackwardSequence(const Matrix& dh_final) {
     // Through tanh.
     Matrix dpre = ActivationBackward(Activation::kTanh, hs_[t], std::move(dh));
     Matrix x = Matrix::Row(seq_.RowVector(t));
-    wx_.grad.Add(MatMulTransA(x, dpre));
+    MatMulTransAAccumulate(x, dpre, {}, &wx_.grad);
     Matrix h_prev =
         t > 0 ? hs_[t - 1] : Matrix::Zeros(1, hidden_dim());
-    wh_.grad.Add(MatMulTransA(h_prev, dpre));
+    MatMulTransAAccumulate(h_prev, dpre, {}, &wh_.grad);
     b_.grad.Add(dpre);
     dh = MatMulTransB(dpre, wh_.value);
   }
@@ -269,7 +269,7 @@ void LstmCell::BackwardSequence(const Matrix& dh_final) {
       dgates.At(0, 2 * hidden_dim_ + j) = dg * (1.0f - g * g);
       dgates.At(0, 3 * hidden_dim_ + j) = do_ * o * (1.0f - o);
     }
-    w_.grad.Add(MatMulTransA(step.z, dgates));
+    MatMulTransAAccumulate(step.z, dgates, {}, &w_.grad);
     b_.grad.Add(dgates);
     Matrix dz = MatMulTransB(dgates, w_.value);
     // Split dz into dx (discarded) and dh_prev.

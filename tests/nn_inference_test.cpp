@@ -1,7 +1,7 @@
 // Inference purity of the six neural families (Linear, FCN, FCN+Pool, MSCN,
 // RNN, LSTM): an estimate reads the model and nothing else. The const
 // inference pass (ForwardBatch) answers bit-identically to the training
-// forward (ForwardOne), alone and inside a batch; concurrent, shuffled
+// step's predictions, alone and inside a batch; concurrent, shuffled
 // traffic mixing every inference entry point answers bit-identically to a
 // sequential twin; serving inference between training steps leaves
 // incremental training unchanged; and the service answers narrow models on
@@ -14,6 +14,7 @@
 #include <cctype>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -203,15 +204,28 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Opens a family's training forward and its inference pass to the test.
+// Opens a family's training step and its inference pass to the test.
 template <typename Model>
 class ForwardPeer : public Model {
  public:
   using typename Model::FeatureStats;
   using Model::FlatStats;
   using Model::ForwardBatch;
-  using Model::ForwardOne;
   using Model::Model;
+  using Model::TrainStep;
+
+  /// The predictions a training step makes for `queries`, in order (with
+  /// zero loss gradients, so the parameters' gradients keep their values).
+  std::vector<float> TrainPredictions(std::span<const query::Query> queries) {
+    std::vector<const query::Query*> batch;
+    for (const query::Query& q : queries) batch.push_back(&q);
+    std::vector<float> preds(queries.size());
+    this->TrainStep(batch, [&preds](int i, float pred) {
+      preds[i] = pred;
+      return 0.0f;
+    });
+    return preds;
+  }
 };
 
 template <typename Peer>
@@ -233,11 +247,12 @@ struct FamilyName {
 };
 TYPED_TEST_SUITE(ForwardContractTest, AllFamilies, FamilyName);
 
-// ForwardBatch writes exactly what ForwardOne produces, bit for bit: for a
-// query alone, and for the same query at every position of a full batch, a
-// reversed batch and odd-sized chunks. An explain's feature stats equal
-// those of a fresh flat encoding.
-TYPED_TEST(ForwardContractTest, ForwardBatchMatchesForwardOneBitwise) {
+// ForwardBatch writes exactly the prediction the training step makes, bit
+// for bit: for a query alone, and for the same query at every position of a
+// full batch, a reversed batch and odd-sized chunks. The training step
+// predicts a query alike alone and inside its full minibatch. An explain's
+// feature stats equal those of a fresh flat encoding.
+TYPED_TEST(ForwardContractTest, ForwardBatchMatchesTrainStepBitwise) {
   const Env& env = SharedEnv();
   TypeParam model(Fast());
   ASSERT_TRUE(model.Build(*env.db, env.train).ok());
@@ -246,7 +261,12 @@ TYPED_TEST(ForwardContractTest, ForwardBatchMatchesForwardOneBitwise) {
 
   std::vector<uint32_t> want(n);
   for (size_t i = 0; i < n; ++i) {
-    want[i] = std::bit_cast<uint32_t>(model.ForwardOne(qs[i]));
+    want[i] = std::bit_cast<uint32_t>(model.TrainPredictions({&qs[i], 1})[0]);
+  }
+  const std::vector<float> stacked = model.TrainPredictions(qs);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(stacked[i]), want[i])
+        << model.Name() << " query " << i << " in a training minibatch";
   }
   for (size_t i = 0; i < n; ++i) {
     float alone;
