@@ -454,8 +454,12 @@ void WriteKernelReportJson(const std::string& path) {
     samples.push_back(SampleKernel("matmul_384", flops, 0, 2, [&] {
       return LogicalChecksum(nn::MatMul(a, b));
     }));
+    // Every weight gradient runs through the accumulate kernel; one segment
+    // into a zero matrix is the plain A^T * B.
     samples.push_back(SampleKernel("matmul_transa_384", flops, 0, 2, [&] {
-      return LogicalChecksum(nn::MatMulTransA(a, b));
+      nn::Matrix c(384, 384);
+      nn::MatMulTransAAccumulate(a, b, {}, &c);
+      return LogicalChecksum(c);
     }));
     samples.push_back(SampleKernel("matmul_transb_384", flops, 0, 2, [&] {
       return LogicalChecksum(nn::MatMulTransB(a, b));
@@ -476,6 +480,19 @@ void WriteKernelReportJson(const std::string& path) {
     samples.push_back(
         SampleKernel("transb_dot_4x384", 2.0 * 4 * 384 * 384, 0, 50, [&] {
           return LogicalChecksum(nn::MatMulTransB(dy, b));
+        }));
+    // The stacked training shape: a set MLP's weight gradient over a
+    // 64-query minibatch's 160 token rows, one 1-4-row segment per query.
+    nn::Matrix tokens = nn::Matrix::Randn(160, 64, 1.0f, &rng);
+    nn::Matrix dtokens = nn::Matrix::Randn(160, 48, 1.0f, &rng);
+    std::vector<int> segments;
+    for (int q = 0; q < 64; ++q) segments.push_back(1 + q % 4);
+    nn::Matrix grad(64, 48);
+    samples.push_back(SampleKernel(
+        "transa_seg_160x64x48", 2.0 * 160 * 64 * 48, 0, 200, [&] {
+          grad.Reset(64, 48);
+          nn::MatMulTransAAccumulate(tokens, dtokens, segments, &grad);
+          return LogicalChecksum(grad);
         }));
   }
 

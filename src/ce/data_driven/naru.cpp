@@ -131,7 +131,7 @@ void NaruTableModel::Fit(const storage::Table& table, const Options& options,
                             static_cast<float>(b);
           }
         }
-        net->Backward(grad);
+        net->Backward(x, grad);
         adam.Step(net->Params());
       }
       if (train_log) {

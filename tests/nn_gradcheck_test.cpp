@@ -89,7 +89,7 @@ TEST(GradCheckTest, MlpWithTanhAndSigmoid) {
   auto backward = [&]() {
     Matrix y = mlp.Forward(x);
     LossResult lr = ComputeLoss(LossKind::kMse, y, targets);
-    mlp.Backward(lr.grad);
+    mlp.Backward(x, lr.grad);
   };
   CheckParamGradients(mlp.Params(), forward, backward);
 }
@@ -109,7 +109,7 @@ TEST(GradCheckTest, MlpInputGradient) {
   for (size_t i = 0; i < y.size(); ++i) {
     ElemAt(dy, i) = 2.0f * ElemAt(y, i);
   }
-  Matrix dx = mlp.Backward(dy);
+  Matrix dx = mlp.Backward(x, dy);
   for (int c = 0; c < x.cols(); ++c) {
     Matrix xp = x, xm = x;
     xp.At(0, c) += kEps;

@@ -62,24 +62,6 @@ TEST(MatrixTest, AddBiasRowBroadcasts) {
   EXPECT_FLOAT_EQ(x.At(1, 1), 24);
 }
 
-TEST(MatrixTest, ColMeanAveragesRows) {
-  Matrix x = Fill(2, 3, {1, 2, 3, 3, 4, 5});
-  Matrix m = ColMean(x);
-  EXPECT_FLOAT_EQ(m.At(0, 0), 2);
-  EXPECT_FLOAT_EQ(m.At(0, 1), 3);
-  EXPECT_FLOAT_EQ(m.At(0, 2), 4);
-}
-
-TEST(MatrixTest, ConcatColsLaysOutParts) {
-  Matrix a = Fill(2, 1, {1, 2});
-  Matrix b = Fill(2, 2, {3, 4, 5, 6});
-  Matrix c = ConcatCols({&a, &b});
-  ASSERT_EQ(c.cols(), 3);
-  EXPECT_FLOAT_EQ(c.At(0, 0), 1);
-  EXPECT_FLOAT_EQ(c.At(0, 2), 4);
-  EXPECT_FLOAT_EQ(c.At(1, 1), 5);
-}
-
 TEST(MatrixTest, StackRejectsRaggedInput) {
   EXPECT_DEATH(Matrix::Stack({{1.0f, 2.0f}, {3.0f}}), "ragged");
 }

@@ -174,7 +174,7 @@ std::vector<float> TrainMlpLosses() {
       loss += d * d;
       grad.At(r, 0) = 2.0f * d / 64.0f;
     }
-    mlp.Backward(grad);
+    mlp.Backward(x, grad);
     adam.Step(mlp.Params());
     losses.push_back(loss / 64.0f);
   }
